@@ -27,6 +27,7 @@ from .pimenov import (
     is_j_monomial,
     jfactor_square,
     scaled_trig,
+    worst_residual,
 )
 
 CARTESIAN = "cartesian"
@@ -128,7 +129,7 @@ def classical_action(A: CKMatrix) -> np.ndarray:
 def special_shape_residual(A: CKMatrix) -> float:
     """How far the matrix is from the special shape: every entry must be
     the appropriate J~ monomial times a real scalar."""
-    worst = 0.0
+    residuals = []
     for k in range(A.size):
         for p in range(A.size):
             el = A.entry(k, p)
@@ -136,9 +137,8 @@ def special_shape_residual(A: CKMatrix) -> float:
             j = A.sig.jfactor(lo + 1, hi + 1)
             (mask, c), = j.coeffs.items()
             a = el.coeffs.get(mask, 0j) / c
-            model = j * a.real
-            worst = max(worst, (el - model).max_abs())
-    return worst
+            residuals.append((el - j * a.real).max_abs())
+    return worst_residual(residuals)
 
 
 def verify_j_orthogonality(A: CKMatrix) -> float:

@@ -7,12 +7,15 @@ passes; malformed flags or signatures exit with status 2.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import sys
+from typing import Callable
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import ck_classical as ck
 from . import dual as dualmod
@@ -26,12 +29,14 @@ from .pimenov import (
     format_element,
     parse_element,
     pim_apply,
+    worst_residual,
 )
 
 DEFAULT_SEED = 20260824
 RESIDUAL_TOL = 1e-9
-# v-independent rank of the quadratic relation space, frozen per signature
-FROZEN_QUOTIENT_RANK = {"1,1": 46, "1,n": 44, "n,1": 44, "n,n": 29}
+
+# A suite maps each check id to a thunk that computes that check's report.
+Suite = dict[str, Callable[[], dict]]
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +65,12 @@ def _quantum_sig(text: str) -> ParameterSignature:
 
 def _parse_v(text: str) -> complex:
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        v = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise click.UsageError(f"cannot parse deformation parameter {text!r}")
+    if not cmath.isfinite(v):
+        raise click.UsageError(f"deformation parameter {text!r} is not finite")
+    return v
 
 
 def _load_config(path: str | None) -> dict:
@@ -107,6 +115,11 @@ def _report(reports: list[dict], fmt: str) -> None:
             )
     if not all(r["pass"] for r in reports):
         sys.exit(1)
+
+
+def _run(suite: Suite, check: str = "all") -> list[dict]:
+    """Reports of every check in the suite, or only of the one named `check`."""
+    return [thunk() for cid, thunk in suite.items() if check in ("all", cid)]
 
 
 def _entry(check: str, sig: str, residual: float, tol: float = RESIDUAL_TOL, **extra) -> dict:
@@ -162,54 +175,63 @@ def _suite_classical(sig_text: str, size: int, seed: int) -> list[dict]:
     out.append(_entry("ck.special-shape", s, ck.special_shape_residual(A), 1e-10))
     B = ck.to_symplectic(A)
     out.append(_entry("ck.symplectic", s, ck.symplectic_orthogonality_residual(B), 1e-10))
-    worst = 0.0
+    distances = []
     for omega in (1, 0, -1):
         xa = ck.translate(omega, 0.21, 0.4)
         xb = ck.translate(omega, -0.13, 0.4)
-        worst = max(worst, abs(ck.distance(omega, xa, xb) - ck.distance(omega, 0.21, -0.13)))
-    out.append(_entry("ck.translation-distance", s, worst, 1e-12))
+        distances.append(abs(ck.distance(omega, xa, xb) - ck.distance(omega, 0.21, -0.13)))
+    out.append(_entry("ck.translation-distance", s, worst_residual(distances), 1e-12))
     demo = ck.contraction_limit_demo(0.3, 1.0, 0.5, [4e-3, 2e-3, 1e-3])
     ratio = demo["steps"][-1]["ratio"]
     out.append(_entry("ck.contraction-ratio", s, abs(ratio - 0.25), 0.05))
-    worst = 0.0
+    drifts = []
     for plane in ("euclid", "galilei", "minkowski"):
         ref = ck.plane_invariant(plane, 0.8, 0.3)
         for _, x0, x1 in ck.orbit_sample(plane, (0.8, 0.3), np.linspace(0, 1.0, 7)):
-            worst = max(worst, abs(ck.plane_invariant(plane, x0, x1) - ref))
-    out.append(_entry("ck.orbit-invariant", s, worst, 1e-10))
+            drifts.append(abs(ck.plane_invariant(plane, x0, x1) - ref))
+    out.append(_entry("ck.orbit-invariant", s, worst_residual(drifts), 1e-10))
     return out
 
 
-def _suite_frt(sig: ParameterSignature, v: complex) -> list[dict]:
+def _suite_frt(sig: ParameterSignature, v: complex) -> Suite:
     s, vs = str(sig), str(v)
-    out = []
-    R = frtmod.rmatrix3(sig, v)
-    out.append(_entry("frt.qybe", s, frtmod.qybe_check(R), 1e-10, v=vs))
-    sys_ = frtmod.reduction_system(sig, v)
-    conf = fa.confluence_check(sys_)
-    out.append(_entry("frt.confluence", s, conf["max_discrepancy"], 1e-9, v=vs))
-    rank = frtmod.rtt_rank(sig, v)
-    out.append(_entry("frt.rank", s, float(abs(rank - FROZEN_QUOTIENT_RANK[s])), 0.5, v=vs, rank=rank))
-    out.append(_entry("frt.counit", s, frtmod.counit_residual(sig, v), 1e-12, v=vs))
-    out.append(_entry("frt.antipode", s, frtmod.antipode_check(sig, v)["residual"], 1e-9, v=vs))
-    out.append(_entry("frt.coproduct", s, frtmod.coproduct_compatibility(sig, v)["residual"], 1e-9, v=vs))
-    out.append(_entry("frt.contraction", s, frtmod.verify_contraction_transform(sig, v)["residual"], 1e-9, v=vs))
-    return out
+
+    def rank() -> dict:
+        r = frtmod.rtt_rank(sig, v)
+        return _entry("frt.rank", s, float(abs(r - frtmod.FROZEN_QUOTIENT_RANK[s])), 0.5, v=vs, rank=r)
+
+    def confluence() -> dict:
+        conf = fa.confluence_check(frtmod.reduction_system(sig, v))
+        return _entry("frt.confluence", s, conf["max_discrepancy"], 1e-9, v=vs)
+
+    return {
+        "frt.qybe": lambda: _entry("frt.qybe", s, frtmod.qybe_check(frtmod.rmatrix3(sig, v)), 1e-10, v=vs),
+        "frt.confluence": confluence,
+        "frt.rank": rank,
+        "frt.counit": lambda: _entry("frt.counit", s, frtmod.counit_residual(sig, v), 1e-12, v=vs),
+        "frt.antipode": lambda: _entry("frt.antipode", s, frtmod.antipode_check(sig, v)["residual"], 1e-9, v=vs),
+        "frt.coproduct": lambda: _entry(
+            "frt.coproduct", s, frtmod.coproduct_compatibility(sig, v)["residual"], 1e-9, v=vs),
+        "frt.contraction": lambda: _entry(
+            "frt.contraction", s, frtmod.verify_contraction_transform(sig, v)["residual"], 1e-9, v=vs),
+    }
 
 
-def _suite_dual(sig: ParameterSignature, v: complex, trunc: int) -> list[dict]:
+def _suite_dual(sig: ParameterSignature, v: complex, trunc: int) -> Suite:
     s, vs = str(sig), str(v)
-    out = []
-    out.append(_entry("dual.pairing", s, dualmod.verify_pairing_table(sig, v)["residual"], 1e-10, v=vs))
-    out.append(_entry("dual.lrel", s, dualmod.verify_L_relations(sig, v)["residual"], 1e-9, v=vs))
-    out.append(_entry("dual.commutators", s, dualmod.verify_dual_commutators(sig, v)["residual"], 1e-9, v=vs))
-    out.append(
-        _entry("dual.sow-hopf", s, dualmod.verify_sow_hopf(sig, dw=trunc, dx=trunc)["residual"], 1e-9, truncation=trunc)
-    )
-    out.append(
-        _entry("dual.iso", s, dualmod.verify_duality_isomorphism(sig, dw=trunc)["residual"], 1e-8, truncation=trunc)
-    )
-    return out
+    return {
+        "dual.pairing": lambda: _entry(
+            "dual.pairing", s, dualmod.verify_pairing_table(sig, v)["residual"], 1e-10, v=vs),
+        "dual.lrel": lambda: _entry("dual.lrel", s, dualmod.verify_L_relations(sig, v)["residual"], 1e-9, v=vs),
+        "dual.commutators": lambda: _entry(
+            "dual.commutators", s, dualmod.verify_dual_commutators(sig, v)["residual"], 1e-9, v=vs),
+        "dual.sow-hopf": lambda: _entry(
+            "dual.sow-hopf", s, dualmod.verify_sow_hopf(sig, dw=trunc, dx=trunc)["residual"], 1e-9,
+            truncation=trunc),
+        "dual.iso": lambda: _entry(
+            "dual.iso", s, dualmod.verify_duality_isomorphism(sig, dw=trunc)["residual"], 1e-8,
+            truncation=trunc),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +239,17 @@ def _suite_dual(sig: ParameterSignature, v: complex, trunc: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-@click.group()
+class _CkqGroup(click.Group):
+    """Command group that reports numeric domain errors as usage errors."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (OverflowError, fa.InconsistentIdeal) as exc:
+            raise click.UsageError(f"parameters outside the supported range: {exc}", ctx)
+
+
+@click.group(cls=_CkqGroup)
 def cli() -> None:
     """Verification workbench for orthogonal Cayley-Klein groups and their
     N=3 quantum deformation."""
@@ -341,13 +373,8 @@ def frt_relations(sig_text: str, v_text: str) -> None:
 def frt_verify(check: str, sig_text: str, v_text: str, fmt: str) -> None:
     """Run one (or all) of the quantum-group checks."""
     sig = _quantum_sig(sig_text)
-    v = _parse_v(v_text)
-    reports = _suite_frt(sig, v)
-    if check != "all":
-        want = {"qybe": "frt.qybe", "confluence": "frt.confluence", "antipode": "frt.antipode",
-                "coproduct": "frt.coproduct", "contraction": "frt.contraction"}[check]
-        reports = [r for r in reports if r["check"] == want]
-    _report(reports, fmt)
+    suite = _suite_frt(sig, _parse_v(v_text))
+    _report(_run(suite, check if check == "all" else f"frt.{check}"), fmt)
 
 
 # -- dual -------------------------------------------------------------------
@@ -369,10 +396,8 @@ def dual_group() -> None:
 def dual_verify(check: str, sig_text: str, v_text: str, trunc: int, fmt: str) -> None:
     """Run one (or all) of the dual-side checks."""
     sig = _quantum_sig(sig_text)
-    reports = _suite_dual(sig, _parse_v(v_text), trunc)
-    if check != "all":
-        reports = [r for r in reports if r["check"] == f"dual.{check}"]
-    _report(reports, fmt)
+    suite = _suite_dual(sig, _parse_v(v_text), trunc)
+    _report(_run(suite, check if check == "all" else f"dual.{check}"), fmt)
 
 
 # -- verify all -------------------------------------------------------------
@@ -387,12 +412,20 @@ def dual_verify(check: str, sig_text: str, v_text: str, trunc: int, fmt: str) ->
 @click.option("--trunc", type=int, default=8, show_default=True)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @format_option
-def verify(suite: str, sig_text: str, v_text: str, trunc: int, config_path: str | None, fmt: str) -> None:
+@click.pass_context
+def verify(ctx: click.Context, suite: str, sig_text: str, v_text: str, trunc: int, config_path: str | None, fmt: str) -> None:
     """Run a verification suite and stream one report line per check."""
     conf = _load_config(config_path)
-    sig_text = sig_text if sig_text != "1,1" or "signature" not in conf else conf["signature"]
-    v_text = v_text if v_text != "0.37" or "v" not in conf else conf["v"]
-    trunc = trunc if trunc != 8 or "trunc" not in conf else int(conf["trunc"])
+
+    def setting(param: str, key: str, value):
+        # flags win; the config only replaces a value left at its default
+        if key in conf and ctx.get_parameter_source(param) is ParameterSource.DEFAULT:
+            return conf[key]
+        return value
+
+    sig_text = setting("sig_text", "signature", sig_text)
+    v_text = setting("v_text", "v", v_text)
+    trunc = int(setting("trunc", "trunc", trunc))
     seed = _seed(conf)
     v = _parse_v(v_text)
     reports: list[dict] = []
@@ -403,9 +436,9 @@ def verify(suite: str, sig_text: str, v_text: str, trunc: int, config_path: str 
     if suite in ("frt", "dual", "all"):
         sig = _quantum_sig(sig_text)
         if suite in ("frt", "all"):
-            reports += _suite_frt(sig, v)
+            reports += _run(_suite_frt(sig, v))
         if suite in ("dual", "all"):
-            reports += _suite_dual(sig, v, trunc)
+            reports += _run(_suite_dual(sig, v, trunc))
     _report(reports, fmt)
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pimenov import NotInvertible, PimenovElement, Scalar
+from .pimenov import NotInvertible, PimenovElement, Scalar, worst_residual
 
 
 class DMatrix:
@@ -141,7 +141,7 @@ class DMatrix:
     # -- comparisons ----------------------------------------------------
 
     def max_abs(self) -> float:
-        return max((float(np.abs(b).max()) for b in self.blocks.values()), default=0.0)
+        return worst_residual(np.abs(b).max() for b in self.blocks.values())
 
     def isclose(self, other: "DMatrix", tol: float = 1e-9) -> bool:
         return (self - other).max_abs() <= tol

@@ -27,6 +27,7 @@ from .pimenov import (
     jfactor_square,
     sinhc_j,
     tanhc_j,
+    worst_residual,
 )
 
 PAIR_TOL = 1e-10
@@ -258,7 +259,7 @@ def verify_pairing_table(sig: ParameterSignature, v: complex) -> dict:
     f = build_functionals(sig, v)
     n = sig.n_slots
     report: dict = {"signature": str(sig), "v": str(v)}
-    worst = 0.0
+    residuals = []
 
     # entry-level extraction (trivial signature only)
     trivial = all(tok == "1" for tok in sig.slots)
@@ -277,7 +278,7 @@ def verify_pairing_table(sig: ParameterSignature, v: complex) -> dict:
                     unlisted.append((atom, comp, val))
                 elif diff > PAIR_TOL:
                     mism.append((atom, comp, val, refval))
-                worst = max(worst, diff if ref is not None else abs(val) * 0)
+                residuals.append(diff if ref is not None else abs(val) * 0)
         report["entry_mismatches"] = mism
         report["unlisted_nonzero"] = unlisted
         report["flagged"] = [
@@ -292,7 +293,7 @@ def verify_pairing_table(sig: ParameterSignature, v: complex) -> dict:
             for (a, c) in FLAGGED_PAIRINGS
         ]
         if mism or unlisted:
-            worst = max(worst, 1.0)
+            residuals.append(1.0)
 
     # assembled slices vs actual, all slots, both triangles
     slot_res = {}
@@ -307,9 +308,8 @@ def verify_pairing_table(sig: ParameterSignature, v: complex) -> dict:
                     mat = DMatrix.identity(n, 3)
                 else:
                     mat = _assemble_slice(sig, pred)
-                r = (mat - actual).max_abs()
-                slot_res[f"{eps}{i}{j}"] = r
-                worst = max(worst, r)
+                slot_res[f"{eps}{i}{j}"] = (mat - actual).max_abs()
+    worst = worst_residual([*residuals, *slot_res.values()])
     report["slot_residuals"] = slot_res
     report["residual"] = worst
     report["pass"] = worst <= PAIR_TOL
@@ -352,7 +352,7 @@ def verify_L_relations(sig: ParameterSignature, v: complex) -> dict:
     Cti = C.inv().T
     for label, M in (("metric", Ct), ("metric_inv", Cti)):
         for eps in ("+", "-"):
-            worst = 0.0
+            residuals = []
             for i in range(1, 4):
                 for j in range(1, 4):
                     acc = DMatrix.zeros(n, 3)
@@ -363,12 +363,12 @@ def verify_L_relations(sig: ParameterSignature, v: complex) -> dict:
                                 continue
                             acc = acc + (f.slice(i, k, eps) @ f.slice(j, l, eps)) * coeff
                     target = DMatrix.identity(n, 3) * M.entry(i - 1, j - 1)
-                    worst = max(worst, (acc - target).max_abs())
-            res[f"{label}{eps}"] = worst
+                    residuals.append((acc - target).max_abs())
+            res[f"{label}{eps}"] = worst_residual(residuals)
     res["diag_inverse"] = (
         f.slice(1, 1, "+") @ f.slice(1, 1, "-") - DMatrix.identity(n, 3)
     ).max_abs()
-    worst = max(res.values())
+    worst = worst_residual(res.values())
     return {"identities": res, "residual": worst, "pass": worst <= 1e-9}
 
 
@@ -395,7 +395,7 @@ def verify_dual_commutators(sig: ParameterSignature, v: complex) -> dict:
         + (I - a @ a) * half_s
         + ((b @ b) * j2sq + (bt @ bt) * j1sq) * half_t
     ).max_abs()
-    worst = max(r1, r2, r3)
+    worst = worst_residual((r1, r2, r3))
     return {
         "relation1": r1,
         "relation2": r2,
@@ -470,10 +470,7 @@ class DSeries:
 
     def max_abs(self, w_cap: int | None = None) -> float:
         cap = self.d if w_cap is None else min(w_cap, self.d)
-        return max(
-            (float(np.abs(a[: cap + 1]).max()) for a in self.blocks.values()),
-            default=0.0,
-        )
+        return worst_residual(np.abs(a[: cap + 1]).max() for a in self.blocks.values())
 
     def __add__(self, other: "DSeries") -> "DSeries":
         out = {m: a.copy() for m, a in self.blocks.items()}
@@ -821,12 +818,11 @@ class SowElement:
     __rmul__ = __mul__
 
     def max_abs(self, w_cap: int | None = None, x_cap: int | None = None) -> float:
-        worst = 0.0
-        for (a, m, b), ds in self.terms.items():
-            if x_cap is not None and m > x_cap:
-                continue
-            worst = max(worst, ds.max_abs(w_cap))
-        return worst
+        return worst_residual(
+            ds.max_abs(w_cap)
+            for (a, m, b), ds in self.terms.items()
+            if x_cap is None or m <= x_cap
+        )
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
@@ -868,12 +864,11 @@ class SowTensor2:
     __rmul__ = __mul__
 
     def max_abs(self, w_cap: int | None = None, x_cap: int | None = None) -> float:
-        worst = 0.0
-        for ((a1, m1, b1), (a2, m2, b2)), ds in self.terms.items():
-            if x_cap is not None and max(m1, m2) > x_cap:
-                continue
-            worst = max(worst, ds.max_abs(w_cap))
-        return worst
+        return worst_residual(
+            ds.max_abs(w_cap)
+            for ((a1, m1, b1), (a2, m2, b2)), ds in self.terms.items()
+            if x_cap is None or max(m1, m2) <= x_cap
+        )
 
 
 def sow_normalize(x: "SowElement | tuple[SowAlgebra, Sequence[str]]") -> SowElement:
@@ -938,8 +933,8 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
         for (k1, k2), ds in d.terms.items():
             acc1 = acc1 + (alg.antipode_mono(k1) * SowElement(alg, {k2: ds}))
             acc2 = acc2 + (SowElement(alg, {k1: ds}) * alg.antipode_mono(k2))
-        res[f"antipode_{nm}"] = max(
-            acc1.max_abs(w_cap=dw, x_cap=dx), acc2.max_abs(w_cap=dw, x_cap=dx)
+        res[f"antipode_{nm}"] = worst_residual(
+            (acc1.max_abs(w_cap=dw, x_cap=dx), acc2.max_abs(w_cap=dw, x_cap=dx))
         )
 
     # coassociativity on generators
@@ -956,24 +951,24 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
                 key = (k1, b1, b2)
                 add = ds * arr
                 rhs[key] = rhs[key] + add if key in rhs else add
-        worst = 0.0
+        residuals = []
         for key in set(lhs) | set(rhs):
             zero = DSeries(alg.n, alg.dw)
             diff = lhs.get(key, zero) - rhs.get(key, zero)
             if max(m for (_, m, _) in ((key[0]), (key[1]), (key[2]))) <= dx:
-                worst = max(worst, diff.max_abs(dw))
-        res[f"coassoc_{nm}"] = worst
+                residuals.append(diff.max_abs(dw))
+        res[f"coassoc_{nm}"] = worst_residual(residuals)
 
     # S reverses products on all ordered generator pairs
-    worst = 0.0
+    residuals = []
     for nm1 in ("X01", "X02", "X12"):
         for nm2 in ("X01", "X02", "X12"):
             lhs_el = alg.antipode(X[nm1] * X[nm2])
             rhs_el = alg.antipode_gen(nm2) * alg.antipode_gen(nm1)
-            worst = max(worst, (lhs_el - rhs_el).max_abs(w_cap=dw, x_cap=dx))
-    res["antihomomorphism"] = worst
+            residuals.append((lhs_el - rhs_el).max_abs(w_cap=dw, x_cap=dx))
+    res["antihomomorphism"] = worst_residual(residuals)
 
-    total = max(res.values())
+    total = worst_residual(res.values())
     return {
         "checks": res,
         "residual": total,
@@ -1043,7 +1038,7 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
         "relation2": r2.max_abs(w_cap=dw, x_cap=dw),
         "relation3": r3.max_abs(w_cap=dw, x_cap=dw),
     }
-    worst = max(res.values())
+    worst = worst_residual(res.values())
     return {
         "relations": res,
         "residual": worst,

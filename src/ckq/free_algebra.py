@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pimenov import PimenovElement, Scalar
+from .pimenov import PimenovElement, Scalar, worst_residual
 
 PIVOT_THRESHOLD = 1e-8
 CLOSURE_DEGREE = 3
@@ -88,7 +88,7 @@ class FreeElement:
         return all(abs(c) <= tol for c in self.terms.values())
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return worst_residual(abs(c) for c in self.terms.values())
 
     def degree(self) -> int:
         return max((len(w) for (_, w) in self.terms), default=0)
@@ -184,7 +184,7 @@ class TensorElement:
         return all(abs(c) <= tol for c in self.terms.values())
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return worst_residual(abs(c) for c in self.terms.values())
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         out = dict(self.terms)
@@ -358,6 +358,21 @@ class ReductionSystem:
         return TensorElement(x.n, x.G, terms)
 
 
+def coefficient_matrix(
+    elements: Sequence[FreeElement], columns: Sequence[TermKey]
+) -> np.ndarray:
+    """Dense complex matrix with one row per element over the given columns.
+
+    Every (mask, word) key of every element must be among the columns.
+    """
+    col_index = {k: i for i, k in enumerate(columns)}
+    A = np.zeros((len(elements), len(columns)), dtype=complex)
+    for i, r in enumerate(elements):
+        for k, c in r.terms.items():
+            A[i, col_index[k]] = c
+    return A
+
+
 def _rref_rules(
     elements: Sequence[FreeElement],
     n: int,
@@ -373,11 +388,7 @@ def _rref_rules(
         key=lambda k: term_order_key(*k),
         reverse=True,
     )
-    col_index = {k: i for i, k in enumerate(columns)}
-    A = np.zeros((len(elements), len(columns)), dtype=complex)
-    for i, r in enumerate(elements):
-        for k, c in r.terms.items():
-            A[i, col_index[k]] = c
+    A = coefficient_matrix(elements, columns)
     # Gauss-Jordan with relative pivot threshold
     global_scale = np.abs(A).max()
     noise = 1e-12 * global_scale
@@ -494,24 +505,18 @@ def confluence_check(sys: ReductionSystem, degree: int = 3) -> dict:
     """Left-first vs right-first reduction of every degree-`degree` word."""
     if degree != 3:
         raise ValueError("confluence check is scoped to degree 3")
-    worst = 0.0
+    diffs: list[float] = []
     failing: list[Word] = []
-    count = 0
     for word in product(range(sys.G), repeat=degree):
-        count += 1
         nl = sys._nf_term(0, word, "left")
         nr = sys._nf_term(0, word, "right")
-        keys = set(nl) | set(nr)
-        diff = max(
-            (abs(nl.get(k, 0j) - nr.get(k, 0j)) for k in keys), default=0.0
-        )
-        if diff > worst:
-            worst = diff
-        if diff > 1e-9:
+        diff = worst_residual(abs(nl.get(k, 0j) - nr.get(k, 0j)) for k in set(nl) | set(nr))
+        diffs.append(diff)
+        if not diff <= 1e-9:
             failing.append(word)
     return {
-        "words_checked": count,
-        "max_discrepancy": worst,
+        "words_checked": len(diffs),
+        "max_discrepancy": worst_residual(diffs),
         "failing_words": failing,
         "confluent": not failing,
     }
@@ -525,9 +530,4 @@ def relation_rank(
     columns = sorted({k for r in relations for k in r.terms})
     if not columns:
         return 0
-    col_index = {k: i for i, k in enumerate(columns)}
-    A = np.zeros((len(relations), len(columns)), dtype=complex)
-    for i, r in enumerate(relations):
-        for k, c in r.terms.items():
-            A[i, col_index[k]] = c
-    return int(np.linalg.matrix_rank(A, tol=tol))
+    return int(np.linalg.matrix_rank(coefficient_matrix(relations, columns), tol=tol))

@@ -10,6 +10,7 @@ are carried exactly, so contracted cases are structurally exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -19,21 +20,26 @@ import numpy as np
 
 from .dmat import DMatrix
 from .free_algebra import (
+    PIVOT_THRESHOLD,
     FreeElement,
     ReductionSystem,
     RelationSet,
     TensorElement,
     build_reduction,
-    confluence_check,
+    coefficient_matrix,
     free_tensor,
+    iota_closure,
     relation_rank,
 )
-from .pimenov import KERNELS, ParameterSignature, PimenovElement, Scalar, pim_apply
+from .pimenov import KERNELS, ParameterSignature, PimenovElement, Scalar, pim_apply, worst_residual
 
 N = 3
 NGEN = 9
 GEN_NAMES = ("t11", "tt11", "t12", "tt12", "t13", "tt13", "t21", "tt21", "t22")
 GEN_INDEX = {name: g for g, name in enumerate(GEN_NAMES)}
+# rank of the exchange-relation space per signature, frozen from the rank
+# oracle; it does not depend on v as long as v != 0 (R = I at v = 0)
+FROZEN_QUOTIENT_RANK = {"1,1": 46, "1,n": 44, "n,1": 44, "n,n": 29}
 
 # The 3x3 generator matrix T has entries built from 9 independent
 # generators sitting at five canonical positions; the other four positions
@@ -355,9 +361,7 @@ def counit(x: FreeElement) -> PimenovElement:
 
 
 def counit_residual(sig: ParameterSignature, v: complex) -> float:
-    return max(
-        (counit(r).max_abs() for r in full_relations(sig, v)), default=0.0
-    )
+    return worst_residual(counit(r).max_abs() for r in full_relations(sig, v))
 
 
 def _gen_position(g: int) -> tuple[tuple[int, int], bool]:
@@ -437,30 +441,30 @@ def antipode_check(sig: ParameterSignature, v: complex) -> dict:
     sys = reduction_system(sig, v)
     T = t_matrix(sig)
     ST = antipode_matrix(sig, v)
-    worst = 0.0
+    residuals = []
     failures = []
     for label, M in (("S(T)*T", _fmat_mul(ST, T)), ("T*S(T)", _fmat_mul(T, ST))):
         for i in range(3):
             for j in range(3):
                 target = FreeElement.const(n, NGEN, 1.0 if i == j else 0.0)
                 res = sys.reduce(M[i][j] - target).max_abs()
-                worst = max(worst, res)
-                if res > 1e-9:
+                residuals.append(res)
+                if not res <= 1e-9:
                     failures.append((label, i + 1, j + 1, res))
-    return {"residual": worst, "failures": failures, "pass": not failures}
+    return {"residual": worst_residual(residuals), "failures": failures, "pass": not failures}
 
 
 def coproduct_compatibility(sig: ParameterSignature, v: complex) -> dict:
     """Delta(relation) must reduce to 0 in the tensor square."""
     sys = reduction_system(sig, v)
-    worst = 0.0
+    residuals = []
     failures = []
     for i, rel in enumerate(full_relations(sig, v)):
         res = sys.reduce_tensor(coproduct(sig, rel)).max_abs()
-        worst = max(worst, res)
-        if res > 1e-9:
+        residuals.append(res)
+        if not res <= 1e-9:
             failures.append((i, res))
-    return {"residual": worst, "failures": failures, "pass": not failures}
+    return {"residual": worst_residual(residuals), "failures": failures, "pass": not failures}
 
 
 # ---------------------------------------------------------------------------
@@ -496,31 +500,58 @@ def substitute_generators(sig: ParameterSignature, x: FreeElement) -> FreeElemen
     return out
 
 
+def _numeric_rank(sv: np.ndarray) -> int:
+    """Count of singular values above PIVOT_THRESHOLD times the largest."""
+    return int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0]))
+
+
 def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
     """Relations built directly at sig vs the rescaled undeformed relations.
 
     The second route keeps the undeformed (all-slots-1) shape of the
     generator matrix, evaluates every coefficient kernel at the nilpotent
-    argument Jv, and then rescales the generators; span equality with the
-    direct construction is certified by mutual reduction to zero.
+    argument Jv, and then rescales the generators.  The two relation sets
+    span the same space over D, hence generate the same ideal.  Over C
+    that space is spanned by the tag closure of either set, so the check
+    puts both closures on one (mask, word) column set as matrices A and B
+    and certifies rank(A) = rank(B) = rank([A; B]) (numeric ranks from the
+    SVD, relative threshold PIVOT_THRESHOLD) and that each matrix lies in
+    the row space of the other: residual = max(|B - B P_A|, |A - A P_B|),
+    P_X the orthogonal projector onto the row space of X.
     """
-    direct = list(full_relations(sig, v))
-    substituted = [
-        substitute_generators(sig, r)
-        for r in full_relations(sig, v, attachments=False)
-    ]
-    substituted = [r for r in substituted if not r.is_zero()]
     n = sig.n_slots
-    sys_a = build_reduction(RelationSet(direct), n, NGEN)
-    sys_b = build_reduction(RelationSet(substituted), n, NGEN)
-    res_ab = max((sys_a.reduce(r).max_abs() for r in substituted), default=0.0)
-    res_ba = max((sys_b.reduce(r).max_abs() for r in direct), default=0.0)
-    worst = max(res_ab, res_ba)
+    direct = iota_closure(full_relations(sig, v), n)
+    substituted = iota_closure(
+        [substitute_generators(sig, r) for r in full_relations(sig, v, attachments=False)], n
+    )
+    columns = sorted({k for r in direct + substituted for k in r.terms})
+    A = coefficient_matrix(direct, columns)
+    B = coefficient_matrix(substituted, columns)
+    _, sv_a, basis_a = np.linalg.svd(A, full_matrices=False)
+    _, sv_b, basis_b = np.linalg.svd(B, full_matrices=False)
+    sv_ab = np.linalg.svd(np.vstack([A, B]), compute_uv=False)
+    rank_a, rank_b, rank_ab = (_numeric_rank(sv) for sv in (sv_a, sv_b, sv_ab))
+
+    def off_span(X: np.ndarray, basis: np.ndarray) -> float:
+        # max |X - X P| with P = basis^H basis, basis orthonormal rows
+        return float(np.abs(X - (X @ basis.conj().T) @ basis).max())
+
+    substituted_in_direct = off_span(B, basis_a[:rank_a])
+    direct_in_substituted = off_span(A, basis_b[:rank_b])
+    worst = worst_residual((substituted_in_direct, direct_in_substituted))
+    # sigma_r / sigma_{r+1} of [A; B]: how far its numeric rank is from the threshold
+    gap = math.inf
+    if rank_ab < sv_ab.size and sv_ab[rank_ab] > 0:
+        gap = float(sv_ab[rank_ab - 1] / sv_ab[rank_ab])
     return {
         "residual": worst,
-        "direct_in_substituted": res_ba,
-        "substituted_in_direct": res_ab,
-        "pass": worst <= 1e-9,
+        "direct_in_substituted": direct_in_substituted,
+        "substituted_in_direct": substituted_in_direct,
+        "rank_direct": rank_a,
+        "rank_substituted": rank_b,
+        "rank_union": rank_ab,
+        "gap": gap,
+        "pass": rank_a == rank_b == rank_ab and worst <= 1e-9,
     }
 
 

@@ -42,6 +42,21 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def worst_residual(values: Iterable[float]) -> float:
+    """Largest of the values (0.0 for none); nan as soon as one is not finite.
+
+    Every residual aggregate goes through here: Python's max() drops a nan
+    that is not its first argument, so a broken residual would pass as 0.
+    """
+    worst = 0.0
+    for r in values:
+        if not r <= worst:  # also true for nan
+            if not math.isfinite(r):
+                return math.nan
+            worst = r
+    return float(worst)
+
+
 class PimenovElement:
     """An element of D_n: complex coefficients indexed by tag subsets."""
 
@@ -99,7 +114,7 @@ class PimenovElement:
         return all(abs(c) <= tol for c in self.coeffs.values())
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return worst_residual(abs(c) for c in self.coeffs.values())
 
     def isclose(self, other: "PimenovElement | Scalar", tol: float = DEFAULT_TOL) -> bool:
         other = _coerce(other, self.n)
@@ -545,6 +560,9 @@ def format_element(a: PimenovElement) -> str:
     for mask in sorted(a.coeffs, key=lambda m: (_popcount(m), m)):
         c = a.coeffs[mask]
         tags = "*".join(f"i{k + 1}" for k in range(a.n) if mask >> k & 1)
-        body = format_scalar(c) if not tags else f"{format_scalar(c)}*{tags}"
-        parts.append(body)
+        lit = format_scalar(c)
+        if tags and c.imag and repr(c).startswith("("):
+            # '*' binds tighter than '+': a two-part literal needs parentheses
+            lit = f"({lit})"
+        parts.append(f"{lit}*{tags}" if tags else lit)
     return " + ".join(parts).replace("+ -", "- ")

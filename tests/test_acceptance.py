@@ -11,11 +11,12 @@ from ckq import ck_classical as ck
 from ckq import dual, frt
 from ckq.dmat import DMatrix
 from ckq.free_algebra import confluence_check, relation_rank
+from ckq.frt import FROZEN_QUOTIENT_RANK
 from ckq.pimenov import KERNELS, ParameterSignature, PimenovElement, pim_apply
 
 from oracles import grassmann_product, lift_fd, lift_taylor
 from test_ck_classical import all_signatures, random_vector
-from test_frt import FROZEN_RANK, golden_entries
+from test_frt import golden_entries
 
 QUANTUM_SIGS = [ParameterSignature.parse(s) for s in ("1,1", "1,n", "n,1", "n,n")]
 CONTRACTED_SIGS = QUANTUM_SIGS[1:]
@@ -171,7 +172,7 @@ def test_criterion_07_quotient_well_defined():
         worst = max(worst, rep["max_discrepancy"])
         words_ok = words_ok and rep["words_checked"] == 729
     ranks_ok = all(
-        frt.rtt_rank(sig, v) == FROZEN_RANK[str(sig)]
+        frt.rtt_rank(sig, v) == FROZEN_QUOTIENT_RANK[str(sig)]
         for sig in QUANTUM_SIGS
         for v in V_SAMPLES
     )

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from ckq import free_algebra, frt
 from ckq.cli import cli
 
 
@@ -82,6 +83,29 @@ def test_imaginary_slot_rejected_by_quantum_commands(runner):
     assert "1 and n" in res.output
 
 
+def test_overflowing_v_is_usage_error(runner):
+    res = runner.invoke(cli, ["verify", "frt", "--j", "1,1", "--v", "1e3"])
+    assert res.exit_code == 2, res.output
+    assert "outside the supported range" in res.output
+
+
+@pytest.mark.parametrize("v_text", ["nan", "1e400", "1+nani"])
+def test_non_finite_v_is_usage_error(runner, v_text):
+    res = runner.invoke(cli, ["verify", "frt", "--j", "1,1", "--v", v_text])
+    assert res.exit_code == 2, res.output
+    assert "not finite" in res.output
+
+
+def test_inconsistent_ideal_is_usage_error(runner, monkeypatch):
+    def inconsistent(sig, v):
+        raise free_algebra.InconsistentIdeal("a bare constant survived row reduction")
+
+    monkeypatch.setattr(frt, "reduction_system", inconsistent)
+    res = runner.invoke(cli, ["frt", "verify", "confluence", "--j", "n,n"])
+    assert res.exit_code == 2, res.output
+    assert "bare constant" in res.output
+
+
 def test_verify_all_contracted(runner):
     res = runner.invoke(cli, ["verify", "all", "--j", "n,n"])
     assert res.exit_code == 0, res.output
@@ -126,6 +150,17 @@ def test_frt_verify_single_check(runner):
     assert res.exit_code == 0
     (report,) = [json.loads(ln) for ln in lines_of(res)]
     assert report["check"] == "frt.qybe" and report["pass"]
+
+
+def test_frt_verify_computes_only_the_requested_check(runner, monkeypatch):
+    def no_quotient(sig, v):
+        raise AssertionError("the quotient is not needed for the contraction check")
+
+    monkeypatch.setattr(frt, "reduction_system", no_quotient)
+    res = runner.invoke(cli, ["frt", "verify", "contraction", "--j", "1,1"])
+    assert res.exit_code == 0, res.output
+    (report,) = [json.loads(ln) for ln in lines_of(res)]
+    assert report["check"] == "frt.contraction" and report["pass"]
 
 
 # -- dual -------------------------------------------------------------------
@@ -184,6 +219,20 @@ def test_config_file_keys(runner, tmp_path):
     conf.write_text("signature = n,n\nseed = 1234\n# comment\n")
     res = runner.invoke(cli, ["verify", "classical", "--config", str(conf)])
     assert res.exit_code == 0
+
+
+def test_flags_win_over_config(runner, tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("signature = n,n\n")
+
+    def signatures(args):
+        res = runner.invoke(cli, ["verify", "classical", "--config", str(conf)] + args)
+        assert res.exit_code == 0, res.output
+        return {json.loads(ln)["signature"] for ln in lines_of(res)}
+
+    # a flag given at its default value still wins; an absent flag defers to the file
+    assert signatures(["--j", "1,1"]) == {"1,1,1"}
+    assert signatures([]) == {"n,n,n"}
 
 
 def test_config_file_parse_error(runner, tmp_path):

@@ -6,18 +6,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckq import frt
 from ckq.dmat import DMatrix
-from ckq.free_algebra import confluence_check, relation_rank
+from ckq.free_algebra import build_reduction, confluence_check, relation_rank
+from ckq.frt import FROZEN_QUOTIENT_RANK
 from ckq.pimenov import ParameterSignature
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
 V_SAMPLES = [0.37, 0.61 + 0.29j]
 
-# rank of the exchange-relation space, frozen from the rank oracle
-FROZEN_RANK = {"1,1": 46, "1,n": 44, "n,1": 44, "n,n": 29}
+# rank of the tag closure of the full relation set, the same on the direct
+# and the substituted route; it holds on the whole disc |v| <= 0.9, v = 0 included
+CONTRACTION_RANK = {"1,1": 188, "1,n": 112, "n,1": 112, "n,n": 68}
 
 
 def sig_of(text):
@@ -102,7 +106,7 @@ def test_confluence_all_words(sig_text):
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
 @pytest.mark.parametrize("v", V_SAMPLES)
 def test_rank_matches_frozen_oracle(sig_text, v):
-    assert frt.rtt_rank(sig_of(sig_text), v) == FROZEN_RANK[sig_text]
+    assert frt.rtt_rank(sig_of(sig_text), v) == FROZEN_QUOTIENT_RANK[sig_text]
 
 
 def test_corrupted_relations_change_rank():
@@ -110,7 +114,7 @@ def test_corrupted_relations_change_rank():
     R = frt.rmatrix3(sig_of("1,1"), 0.37)
     R.mat.blocks[0][3, 1] += 0.2
     rank = relation_rank(frt.rtt_relations(R))
-    assert rank != FROZEN_RANK["1,1"]
+    assert rank != FROZEN_QUOTIENT_RANK["1,1"]
 
 
 def test_orthogonality_relations_annihilated_by_counit():
@@ -145,11 +149,58 @@ def test_coproduct_compatible_with_relations(sig_text):
 # -- contraction ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("sig_text", CONTRACTED_SIGS)
-def test_contraction_transform(sig_text):
-    rep = frt.verify_contraction_transform(sig_of(sig_text), 0.37)
+def assert_contraction_holds(sig_text, v):
+    rep = frt.verify_contraction_transform(sig_of(sig_text), v)
     assert rep["pass"], rep
     assert rep["residual"] <= 1e-9
+    want = CONTRACTION_RANK[sig_text]
+    assert (rep["rank_direct"], rep["rank_substituted"], rep["rank_union"]) == (want,) * 3
+    assert rep["gap"] > 1e8  # the numeric rank is far from its threshold
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_contraction_transform(sig_text):
+    for v in V_SAMPLES:
+        assert_contraction_holds(sig_text, v)
+
+
+@given(
+    sig_text=st.sampled_from(QUANTUM_SIGS),
+    r=st.floats(0.0, 0.9),
+    phase=st.floats(0.0, 2 * cmath.pi),
+)
+@settings(max_examples=8, deadline=None)
+def test_contraction_transform_on_v_disc(sig_text, r, phase):
+    assert_contraction_holds(sig_text, cmath.rect(r, phase))
+
+
+@pytest.mark.parametrize("sig_text", ["1,n", "n,n"])
+def test_contraction_detects_wrong_exponent(sig_text, monkeypatch):
+    # tt11 rescaled by j1 instead of j1*j2: wrong wherever j2 is nilpotent
+    monkeypatch.setitem(frt._SUBST_EXPONENTS, 1, (1, 0))
+    rep = frt.verify_contraction_transform(sig_of(sig_text), 0.37)
+    assert not rep["pass"]
+    assert rep["residual"] > 0.1
+
+
+@pytest.mark.parametrize("wrong_exponent", [False, True])
+def test_contraction_agrees_with_mutual_reduction(wrong_exponent, monkeypatch):
+    # reference: reduce each relation set modulo the completed quotient of the other
+    if wrong_exponent:
+        monkeypatch.setitem(frt._SUBST_EXPONENTS, 1, (1, 0))
+    sig = sig_of("n,n")
+    direct = list(frt.full_relations(sig, 0.37))
+    substituted = [
+        frt.substitute_generators(sig, r) for r in frt.full_relations(sig, 0.37, attachments=False)
+    ]
+    sys_direct = build_reduction(direct, sig.n_slots, frt.NGEN)
+    sys_substituted = build_reduction(substituted, sig.n_slots, frt.NGEN)
+    mutual = max(
+        max(sys_direct.reduce(r).max_abs() for r in substituted),
+        max(sys_substituted.reduce(r).max_abs() for r in direct),
+    )
+    rep = frt.verify_contraction_transform(sig, 0.37)
+    assert rep["pass"] == (mutual <= 1e-9) == (not wrong_exponent)
 
 
 # -- serialization ----------------------------------------------------------

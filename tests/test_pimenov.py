@@ -17,6 +17,7 @@ from ckq.pimenov import (
     parse_element,
     pim_apply,
     scaled_trig,
+    worst_residual,
 )
 
 from oracles import grassmann_product, lift_fd, lift_taylor
@@ -37,6 +38,27 @@ def test_tags_square_to_zero():
         for k in range(1, n + 1):
             t = PimenovElement.tag(n, k)
             assert (t * t).is_zero()
+
+
+def test_format_parenthesises_two_part_tag_coefficients():
+    a = PimenovElement(2, {0: 1.3 + 0.2j, 1: 0.5 + 0.3j, 2: -0.5 - 0.3j, 3: 0.7j})
+    assert format_element(a) == "1.3+0.2j + (0.5+0.3j)*i1 + (-0.5-0.3j)*i2 + 0.7j*i1*i2"
+
+
+@given(st.dictionaries(st.integers(0, 3), st.complex_numbers(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=200, deadline=None)
+def test_format_element_round_trip(coeffs):
+    a = PimenovElement(2, coeffs)
+    assert parse_element(format_element(a), 2).coeffs == a.coeffs
+
+
+def test_worst_residual_propagates_non_finite():
+    assert worst_residual([]) == 0.0
+    assert worst_residual([0.1, 0.3, 0.2]) == 0.3
+    assert math.isnan(worst_residual([0.1, math.nan, 0.2]))
+    assert math.isnan(worst_residual([0.1, math.inf]))
+    # max() would keep 1.0 here and drop the nan
+    assert math.isnan(PimenovElement(2, {0: 1.0, 3: complex(math.nan, 0)}).max_abs())
 
 
 def test_tags_commute():
