@@ -781,9 +781,6 @@ class SowAlgebra:
             out = out + self.antipode_mono(key) * ds
         return out
 
-    def counit(self, x: "SowElement") -> DSeries:
-        return x.terms.get((0, 0, 0), DSeries(self.n, self.dw))
-
 
 class SowElement:
     __slots__ = ("alg", "terms")
@@ -884,22 +881,6 @@ def sow_normalize(x: "SowElement | tuple[SowAlgebra, Sequence[str]]") -> SowElem
 # ---------------------------------------------------------------------------
 
 
-def _relations(alg: SowAlgebra) -> list[tuple[str, SowElement]]:
-    X01, X02, X12 = alg.gen("X01"), alg.gen("X02"), alg.gen("X12")
-    sinh_el = SowElement(
-        alg,
-        {
-            (0, p, 0): DSeries.from_array(alg.n, alg.dw, arr)
-            for p, arr in alg.sinh_over_w()
-        },
-    )
-    return [
-        ("[X01,X02]=j1^2 X12", X01 * X02 - X02 * X01 - X12 * alg.j1sq),
-        ("[X02,X12]=j2^2 X01", X02 * X12 - X12 * X02 - X01 * alg.j2sq),
-        ("[X12,X01]=sinh(wX02)/w", X12 * X01 - X01 * X12 - sinh_el),
-    ]
-
-
 def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
     """Coproduct compatibility, antipode axiom, coassociativity and the
     antipode anti-homomorphism property, all modulo truncation."""
@@ -990,18 +971,10 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
     alg = SowAlgebra(sig, dw=dw + 2, dx=dw + 5)
     kappa = alg.kappa
     d = alg.dw
-
-    def even(scale: float, odd: bool) -> np.ndarray:
-        arr = np.zeros(d + 1, dtype=complex)
-        for k in range(d // 2 + 1):
-            fact = math.factorial(2 * k + 1) if odd else math.factorial(2 * k)
-            arr[2 * k] = (-1) ** k * kappa**k * scale ** (2 * k) / fact
-        return arr
-
-    S1 = even(1.0, odd=True)  # sin(Jw)/(Jw)
-    C1 = even(1.0, odd=False)  # cos(Jw)
-    S2 = even(0.5, odd=True)  # sin(Jw/2)/(Jw/2)
-    C2 = even(0.5, odd=False)  # cos(Jw/2)
+    S1 = alg.even_series(half=False, odd=True)  # sin(Jw)/(Jw)
+    C1 = alg.even_series(half=False, odd=False)  # cos(Jw)
+    S2 = alg.even_series(half=True, odd=True)  # sin(Jw/2)/(Jw/2)
+    C2 = alg.even_series(half=True, odd=False)  # cos(Jw/2)
     T2 = ser_div(S2, C2, d)  # tan(Jw/2)/(Jw/2)
     w_shift = np.zeros(d + 1, dtype=complex)
     if d >= 1:

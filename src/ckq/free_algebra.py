@@ -14,13 +14,14 @@ well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pimenov import PimenovElement, Scalar, worst_residual
+from .pimenov import PimenovElement, Scalar, _popcount, worst_residual
 
 PIVOT_THRESHOLD = 1e-8
 CLOSURE_DEGREE = 3
@@ -31,10 +32,6 @@ TermKey = tuple[int, Word]
 
 class InconsistentIdeal(ValueError):
     """Row reduction produced a bare constant: 1 lies in the ideal."""
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def term_order_key(mask: int, word: Word) -> tuple:
@@ -224,10 +221,15 @@ class TensorElement:
     __rmul__ = __mul__
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationSet:
-    relations: list[FreeElement]
+    """An immutable sequence of relations (stored as a tuple)."""
+
+    relations: tuple[FreeElement, ...]
     label: str = "derived"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "relations", tuple(self.relations))
 
     def __iter__(self):
         return iter(self.relations)
@@ -277,6 +279,8 @@ class ReductionSystem:
             "left": {},
             "right": {},
         }
+        # filled by build_reduction: sizes and pivot margins of the build
+        self.stats: dict = {}
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -378,8 +382,18 @@ def _rref_rules(
     n: int,
     G: int,
     pivot_threshold: float = PIVOT_THRESHOLD,
+    stats: dict | None = None,
 ) -> dict[TermKey, FreeElement]:
-    """Row-reduce a list of elements into head -> tail rewrite rules."""
+    """Row-reduce a list of elements into head -> tail rewrite rules.
+
+    Gauss-Jordan over the columns in descending term order.  A column gets
+    a pivot only if its largest remaining entry exceeds pivot_threshold
+    times the largest entry of that entry's row; rows whose largest entry is
+    at most 1e-12 of the matrix maximum are cancellation noise and are
+    zeroed.  Row scales are kept per row and refreshed only for the rows a
+    step changes.  A given `stats` dict receives the smallest accepted and
+    the largest rejected pivot ratio (entry over row scale).
+    """
     elements = [e for e in elements if e.terms]
     if not elements:
         return {}
@@ -389,36 +403,51 @@ def _rref_rules(
         reverse=True,
     )
     A = coefficient_matrix(elements, columns)
-    # Gauss-Jordan with relative pivot threshold
-    global_scale = np.abs(A).max()
-    noise = 1e-12 * global_scale
+    noise = 1e-12 * np.abs(A).max()
+    scales = np.empty(len(A))
+
+    def rescale(rows: np.ndarray) -> None:
+        # rows that are pure cancellation noise are structurally zero
+        s = np.abs(A[rows]).max(axis=1)
+        dead = (s > 0) & (s <= noise)
+        if dead.any():
+            A[rows[dead]] = 0
+            s[dead] = 0
+        scales[rows] = s
+
+    rescale(np.arange(len(A)))
+    accepted, rejected = math.inf, 0.0
     pivot_cols: list[int] = []
     row = 0
     for col in range(len(columns)):
         if row >= len(A):
             break
-        # rows that are pure cancellation noise are structurally zero
-        scales = np.abs(A[row:]).max(axis=1)
-        dead = (scales > 0) & (scales <= noise)
-        if dead.any():
-            A[row:][dead] = 0
-            scales[dead] = 0
         sub = np.abs(A[row:, col])
         best = int(np.argmax(sub))
-        row_scale = scales[best]
+        row_scale = scales[row + best]
+        ratio = sub[best] / row_scale if row_scale else 0.0
         if row_scale == 0 or sub[best] <= pivot_threshold * row_scale:
             # no pivot: the column is structurally zero below this point,
             # which keeps rule tails strictly below their heads
-            A[row:, col] = 0
+            rejected = max(rejected, ratio)
+            touched = row + np.flatnonzero(A[row:, col])
+            A[touched, col] = 0
+            rescale(touched)
             continue
+        accepted = min(accepted, ratio)
         best += row
         A[[row, best]] = A[[best, row]]
+        scales[[row, best]] = scales[[best, row]]
         A[row] = A[row] / A[row, col]
-        mask = np.abs(A[:, col]) > 0
-        mask[row] = False
-        A[mask] -= np.outer(A[mask, col], A[row])
+        touched = np.flatnonzero(np.abs(A[:, col]) > 0)
+        touched = touched[touched != row]
+        A[touched] -= np.outer(A[touched, col], A[row])
         pivot_cols.append(col)
         row += 1
+        rescale(touched[touched >= row])
+    if stats is not None:
+        stats["min_accepted_pivot_ratio"] = min(stats.get("min_accepted_pivot_ratio", math.inf), float(accepted))
+        stats["max_rejected_pivot_ratio"] = max(stats.get("max_rejected_pivot_ratio", 0.0), float(rejected))
     rules: dict[TermKey, FreeElement] = {}
     for r_i, col in enumerate(pivot_cols):
         head = columns[col]
@@ -438,6 +467,43 @@ def _rref_rules(
     return rules
 
 
+def completion_residuals(
+    sys: ReductionSystem, quadratic: Sequence[FreeElement], keep: float
+) -> list[FreeElement]:
+    """Cubic ideal elements the current rules leave unresolved.
+
+    These are the reduced products g*r and r*g over the generators g and
+    the quadratic rules r (head - tail), and the left-minus-right normal
+    form of every tagged degree-3 word; entries of size <= keep are dropped.
+    The quadratic rules span the same complex space as the tag closure of
+    the relations, so their products span the same cubic part of the ideal.
+    """
+    n, G = sys.n, sys.G
+    out: list[FreeElement] = []
+    gens = [FreeElement.generator(n, G, g) for g in range(G)]
+    for r in quadratic:
+        for gx in gens:
+            for prod in (gx * r, r * gx):
+                red = sys.reduce(prod)
+                if red.max_abs() > keep:
+                    out.append(red)
+    for word in product(range(G), repeat=CLOSURE_DEGREE):
+        for mask in range(1 << n):
+            d = FreeElement(n, G, _diamond_gap(sys, mask, word))
+            if d.max_abs() > keep:
+                out.append(d)
+    return out
+
+
+def _diamond_gap(sys: ReductionSystem, mask: int, word: Word) -> dict[TermKey, complex]:
+    """Left-first minus right-first normal form of one tagged word."""
+    nl = sys._nf_term(mask, word, "left")
+    nr = sys._nf_term(mask, word, "right")
+    if nl == nr:
+        return {}
+    return {k: nl.get(k, 0j) - nr.get(k, 0j) for k in set(nl) | set(nr)}
+
+
 def build_reduction(
     rs: RelationSet | Sequence[FreeElement],
     n: int,
@@ -449,74 +515,66 @@ def build_reduction(
 
     The tag-closure of the relations is row-reduced into quadratic rules.
     With complete=True (the default) the system is then completed at degree
-    3: cubic ideal elements that subword rewriting cannot resolve — reduced
-    products (generator x relation), (relation x generator), and any
-    remaining left/right diamond discrepancies — are adjoined as explicit
-    degree-3 rules, so normal forms of degree <= 3 elements are unique.
+    3: cubic ideal elements that subword rewriting cannot resolve (see
+    completion_residuals) are row-reduced and adjoined as explicit degree-3
+    rules until a round adds none, so normal forms of degree <= 3 elements
+    are unique.  The returned system carries a `stats` dict: closure rows,
+    per-round residual rows and added rules, the round count, and the
+    pivot ratios closest to pivot_threshold on either side.
     """
     closure = iota_closure(rs, n)
     for r in closure:
         if r.degree() > 2:
             raise ValueError("relations must have word degree <= 2")
-    rules = _rref_rules(closure, n, G, pivot_threshold)
+    stats: dict = {"closure_rows": len(closure), "pivot_threshold": pivot_threshold}
+    rules = _rref_rules(closure, n, G, pivot_threshold, stats)
+    stats["quadratic_rules"] = len(rules)
+    rounds: list[dict] = []
     sys = ReductionSystem(n, G, rules)
-    if not complete or not rules:
-        return sys
-    scale = max(r.max_abs() for r in closure)
-    keep = 1e-10 * max(scale, 1.0)
-    for _ in range(10):
-        # absorb unresolved cubic consequences of the relations
-        residuals = []
-        for r in closure:
-            for g in range(G):
-                gx = FreeElement.generator(n, G, g)
-                for prod in (gx * r, r * gx):
-                    red = sys.reduce(prod)
-                    if red.max_abs() > keep:
-                        residuals.append(red)
-        # absorb any remaining diamond discrepancies
-        for word in product(range(G), repeat=CLOSURE_DEGREE):
-            for mask in range(1 << n):
-                nl = sys._nf_term(mask, word, "left")
-                nr = sys._nf_term(mask, word, "right")
-                if nl == nr:
-                    continue
-                diff = {
-                    k: nl.get(k, 0j) - nr.get(k, 0j) for k in set(nl) | set(nr)
+    if complete and rules:
+        quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
+        scale = max(r.max_abs() for r in closure)
+        keep = 1e-10 * max(scale, 1.0)
+        for _ in range(10):
+            residuals = completion_residuals(sys, quadratic, keep)
+            added = {}
+            if residuals:
+                added = {
+                    h: t
+                    for h, t in _rref_rules(residuals, n, G, pivot_threshold, stats).items()
+                    if h not in rules
                 }
-                d = FreeElement(n, G, diff)
-                if d.max_abs() > keep:
-                    residuals.append(d)
-        if not residuals:
-            break
-        added = {
-            h: t
-            for h, t in _rref_rules(residuals, n, G, pivot_threshold).items()
-            if h not in rules
-        }
-        if not added:
-            break
-        rules.update(added)
-        sys = ReductionSystem(n, G, rules)
+            rounds.append({"residual_rows": len(residuals), "added_rules": len(added)})
+            if not added:
+                break
+            rules.update(added)
+            sys = ReductionSystem(n, G, rules)
+    stats["rounds"] = rounds
+    stats["completion_rounds"] = len(rounds)
+    sys.stats = stats
     return sys
 
 
 def confluence_check(sys: ReductionSystem, degree: int = 3) -> dict:
-    """Left-first vs right-first reduction of every degree-`degree` word."""
+    """Left-first vs right-first reduction of every tagged degree-`degree` word.
+
+    Every word is checked under every tag mask; `words_checked` counts the
+    words, `tagged_words_checked` the (mask, word) pairs.
+    """
     if degree != 3:
         raise ValueError("confluence check is scoped to degree 3")
-    diffs: list[float] = []
+    masks = range(1 << sys.n)
+    per_word: list[float] = []
     failing: list[Word] = []
     for word in product(range(sys.G), repeat=degree):
-        nl = sys._nf_term(0, word, "left")
-        nr = sys._nf_term(0, word, "right")
-        diff = worst_residual(abs(nl.get(k, 0j) - nr.get(k, 0j)) for k in set(nl) | set(nr))
-        diffs.append(diff)
+        diff = worst_residual(abs(c) for mask in masks for c in _diamond_gap(sys, mask, word).values())
+        per_word.append(diff)
         if not diff <= 1e-9:
             failing.append(word)
     return {
-        "words_checked": len(diffs),
-        "max_discrepancy": worst_residual(diffs),
+        "words_checked": len(per_word),
+        "tagged_words_checked": len(per_word) * len(masks),
+        "max_discrepancy": worst_residual(per_word),
         "failing_words": failing,
         "confluent": not failing,
     }

@@ -132,7 +132,6 @@ class CMatrix:
     mat: DMatrix
     sig: ParameterSignature
     v: complex
-    rho: tuple[float, ...] = (0.5, 0.0, -0.5)
 
     def inv(self) -> DMatrix:
         return self.mat.inv()
@@ -322,13 +321,15 @@ def orthogonality_relations(C: CMatrix, attachments: bool = True) -> RelationSet
     return RelationSet(relations, label="orthogonality")
 
 
+@lru_cache(maxsize=32)
 def full_relations(sig: ParameterSignature, v: complex, attachments: bool = True) -> RelationSet:
+    """Exchange plus orthogonality relations, built once per (sig, v, attachments)."""
     R = rmatrix3(sig, v)
     C = cmatrix(sig, v)
-    rels = list(rtt_relations(R, attachments)) + list(
-        orthogonality_relations(C, attachments)
+    return RelationSet(
+        rtt_relations(R, attachments).relations + orthogonality_relations(C, attachments).relations,
+        label="full",
     )
-    return RelationSet(rels, label="full")
 
 
 @lru_cache(maxsize=32)

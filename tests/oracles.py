@@ -4,7 +4,10 @@ These deliberately avoid the library's partition-sum lifting code: the
 Grassmann oracle realizes the nilpotent units inside a brute-force exterior
 algebra, the Taylor oracle lifts analytic kernels through an explicit
 truncated series, and the finite-difference oracle recovers lifted
-coefficients from mixed numerical partial derivatives.
+coefficients from mixed numerical partial derivatives.  The quotient
+oracles keep the plain Gauss-Jordan elimination, which rescans every
+remaining row at every column, and the completion residuals generated from
+the whole tag closure instead of from the quadratic rules.
 """
 
 from __future__ import annotations
@@ -13,6 +16,14 @@ import cmath
 import math
 from itertools import product
 
+import numpy as np
+
+from ckq.free_algebra import (
+    PIVOT_THRESHOLD,
+    FreeElement,
+    coefficient_matrix,
+    term_order_key,
+)
 from ckq.pimenov import PimenovElement
 
 # ---------------------------------------------------------------------------
@@ -156,3 +167,74 @@ def lift_fd(name: str, a: PimenovElement) -> PimenovElement:
             total += weight * value(tuple(t))
         coeffs[mask] = total
     return PimenovElement(n, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Quotient-pipeline oracles
+# ---------------------------------------------------------------------------
+
+
+def reference_rref_rules(elements, n, G, pivot_threshold=PIVOT_THRESHOLD):
+    """Row-reduce elements into head -> tail rules, rescanning all rows per column."""
+    elements = [e for e in elements if e.terms]
+    if not elements:
+        return {}
+    columns = sorted(
+        {k for r in elements for k in r.terms},
+        key=lambda k: term_order_key(*k),
+        reverse=True,
+    )
+    A = coefficient_matrix(elements, columns)
+    global_scale = np.abs(A).max()
+    noise = 1e-12 * global_scale
+    pivot_cols = []
+    row = 0
+    for col in range(len(columns)):
+        if row >= len(A):
+            break
+        scales = np.abs(A[row:]).max(axis=1)
+        dead = (scales > 0) & (scales <= noise)
+        if dead.any():
+            A[row:][dead] = 0
+            scales[dead] = 0
+        sub = np.abs(A[row:, col])
+        best = int(np.argmax(sub))
+        row_scale = scales[best]
+        if row_scale == 0 or sub[best] <= pivot_threshold * row_scale:
+            A[row:, col] = 0
+            continue
+        best += row
+        A[[row, best]] = A[[best, row]]
+        A[row] = A[row] / A[row, col]
+        mask = np.abs(A[:, col]) > 0
+        mask[row] = False
+        A[mask] -= np.outer(A[mask, col], A[row])
+        pivot_cols.append(col)
+        row += 1
+    rules = {}
+    for r_i, col in enumerate(pivot_cols):
+        row_vec = A[r_i]
+        row_max = np.abs(row_vec).max()
+        tail_terms = {}
+        for k_i in np.nonzero(row_vec)[0]:
+            if k_i == col:
+                continue
+            c = row_vec[k_i]
+            if abs(c) <= pivot_threshold * row_max:
+                continue
+            tail_terms[columns[k_i]] = -c
+        rules[columns[col]] = FreeElement(n, G, tail_terms)
+    return rules
+
+
+def closure_residuals(system, closure, keep):
+    """Reduced products g*r and r*g over every tag-closure row r and generator g."""
+    out = []
+    for r in closure:
+        for g in range(system.G):
+            gx = FreeElement.generator(system.n, system.G, g)
+            for prod in (gx * r, r * gx):
+                red = system.reduce(prod)
+                if red.max_abs() > keep:
+                    out.append(red)
+    return out

@@ -89,6 +89,7 @@ def test_confluence_toy_system():
     rep = confluence_check(sys, degree=3)
     assert rep["confluent"]
     assert rep["words_checked"] == 2**3
+    assert rep["tagged_words_checked"] == 2**3 * 2
 
 
 def test_reduce_is_idempotent():

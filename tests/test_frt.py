@@ -2,6 +2,7 @@
 relations, quotient well-definedness and Hopf structure."""
 
 import cmath
+import dataclasses
 import json
 
 import numpy as np
@@ -99,6 +100,7 @@ def test_confluence_all_words(sig_text):
     sys = frt.reduction_system(sig_of(sig_text), 0.37)
     rep = confluence_check(sys)
     assert rep["words_checked"] == 9**3
+    assert rep["tagged_words_checked"] == 9**3 * 4  # every tag mask of D_2
     assert rep["confluent"], rep["failing_words"][:5]
     assert rep["max_discrepancy"] <= 1e-9
 
@@ -201,6 +203,19 @@ def test_contraction_agrees_with_mutual_reduction(wrong_exponent, monkeypatch):
     )
     rep = frt.verify_contraction_transform(sig, 0.37)
     assert rep["pass"] == (mutual <= 1e-9) == (not wrong_exponent)
+
+
+# -- relation sets ----------------------------------------------------------
+
+
+def test_full_relations_built_once_and_immutable():
+    sig = sig_of("1,n")
+    rs = frt.full_relations(sig, 0.37)
+    assert frt.full_relations(sig, 0.37) is rs
+    assert frt.full_relations(sig, 0.37, attachments=False) is not rs
+    assert isinstance(rs.relations, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rs.relations = ()
 
 
 # -- serialization ----------------------------------------------------------

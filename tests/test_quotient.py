@@ -1,0 +1,158 @@
+"""The quotient pipeline's row reduction and completion residuals, checked
+against the plain reference implementations in oracles.py."""
+
+import cmath
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ckq import frt
+from ckq.free_algebra import (
+    PIVOT_THRESHOLD,
+    FreeElement,
+    ReductionSystem,
+    _rref_rules,
+    build_reduction,
+    completion_residuals,
+    confluence_check,
+    iota_closure,
+)
+from ckq.pimenov import ParameterSignature
+from oracles import closure_residuals, reference_rref_rules
+
+QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
+V_SAMPLES = [0.37, 0.61 + 0.29j]
+G = frt.NGEN
+# completed rule counts per signature.  Measured to hold for 0.02 <= |v| <= 0.9;
+# at 1,1 below |v| ~ 0.015 the completion adopts several hundred extra rules
+# (the same on the plain reference pipeline), so the property test samples
+# 0.05 <= |v| <= 0.9.
+FROZEN_RULES = {"1,1": 280, "1,n": 178, "n,1": 186, "n,n": 114}
+
+
+def assert_same_rules(got, want, tol=1e-12):
+    assert list(got) == list(want)  # the same heads in the same pivot order
+    for head, tail in got.items():
+        ref = want[head].terms
+        assert set(tail.terms) == set(ref), head
+        assert all(abs(c - ref[k]) <= tol for k, c in tail.terms.items()), head
+
+
+def quadratic_stage(sig_text, v):
+    """Tag closure, quadratic rules, their system and the completion keep level."""
+    sig = ParameterSignature.parse(sig_text)
+    n = sig.n_slots
+    closure = iota_closure(frt.full_relations(sig, v), n)
+    rules = _rref_rules(closure, n, G)
+    keep = 1e-10 * max(1.0, max(r.max_abs() for r in closure))
+    return closure, rules, ReductionSystem(n, G, dict(rules)), keep
+
+
+def as_elements(rules, n):
+    return [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_rref_matches_reference_gauss_jordan(sig_text):
+    for v in V_SAMPLES:
+        closure, rules, system, keep = quadratic_stage(sig_text, v)
+        n = system.n
+        assert_same_rules(rules, reference_rref_rules(closure, n, G))
+        residuals = completion_residuals(system, as_elements(rules, n), keep)
+        assert_same_rules(_rref_rules(residuals, n, G), reference_rref_rules(residuals, n, G))
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_rule_residuals_give_closure_residual_heads(sig_text):
+    closure, rules, system, keep = quadratic_stage(sig_text, 0.37)
+    n = system.n
+    from_rules = _rref_rules(completion_residuals(system, as_elements(rules, n), keep), n, G)
+    diamonds = completion_residuals(system, [], keep)
+    from_closure = _rref_rules(closure_residuals(system, closure, keep) + diamonds, n, G)
+    assert list(from_rules) == list(from_closure)
+    assert_same_rules(from_rules, from_closure, tol=1e-9)
+
+
+# words of length 1 and 2 under every tag mask of D_2 over 3 generators
+_KEYS = [(m, (a,)) for m in range(4) for a in range(3)] + [
+    (m, (a, b)) for m in range(4) for a in range(3) for b in range(3)
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 40),
+    cols=st.integers(2, 24),
+    rank=st.integers(1, 5),
+    integer=st.booleans(),
+    noise_rows=st.integers(0, 5),
+    small_rows=st.integers(0, 3),
+    small=st.sampled_from([1e-11, 1e-9, 1e-7, 1e-4]),
+)
+@settings(max_examples=60, deadline=None)
+def test_rref_matches_reference_on_low_rank_matrices(
+    seed, rows, cols, rank, integer, noise_rows, small_rows, small
+):
+    # integer factors give exact ties and exact cancellations, float factors
+    # rounding noise.  Rows of 1e-14 noise must be dropped as dead rows.  A
+    # small sparse part P is added to some rows and also stacked on its own:
+    # rows far below the others in scale, and rows that shrink by orders of
+    # magnitude once the low-rank part is eliminated, so a stale or swapped
+    # row scale would misjudge their pivots.
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        if integer:
+            return rng.integers(-2, 3, size=shape) + 1j * rng.integers(-1, 2, size=shape)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    M = draw((rows, rank)) @ draw((rank, cols))
+    assume(np.abs(M).max() >= 0.1)
+    small_rows = min(small_rows, rows)
+    P = small * draw((small_rows, cols)) * (rng.random((small_rows, cols)) < 0.5)
+    M[:small_rows] += P
+    noise = 1e-14 * (rng.normal(size=(noise_rows, cols)) + 1j * rng.normal(size=(noise_rows, cols)))
+    A = np.vstack([M, P, noise])
+    A = A[rng.permutation(len(A))]
+    keys = [_KEYS[i] for i in rng.choice(len(_KEYS), size=cols, replace=False)]
+    elements = [FreeElement(2, 3, {k: c for k, c in zip(keys, row)}) for row in A]
+    rules = _rref_rules(elements, 2, 3)
+    assert_same_rules(rules, reference_rref_rules(elements, 2, 3))
+
+
+def test_rref_row_keeps_its_own_scale_after_a_swap():
+    # the first row is 1e-9 in scale and zero in the first column, so it is
+    # swapped below the pivot and survives elimination untouched; judged by
+    # its own scale its entry is a pivot, judged by the pivot row's it is not
+    small = FreeElement(1, 3, {(0, (1, 1)): 1e-9})
+    big = FreeElement(1, 3, {(0, (2, 2)): 1.0})
+    rules = _rref_rules([small, big], 1, 3)
+    assert list(rules) == [(0, (2, 2)), (0, (1, 1))]
+    assert_same_rules(rules, reference_rref_rules([small, big], 1, 3))
+
+
+@given(
+    sig_text=st.sampled_from(QUANTUM_SIGS),
+    r=st.floats(0.05, 0.9),
+    phase=st.floats(0.0, 2 * cmath.pi),
+)
+@settings(max_examples=6, deadline=None)
+def test_rule_counts_on_v_disc(sig_text, r, phase):
+    sig = ParameterSignature.parse(sig_text)
+    system = build_reduction(frt.full_relations(sig, cmath.rect(r, phase)), sig.n_slots, G)
+    assert len(system) == FROZEN_RULES[sig_text]
+    rep = confluence_check(system)
+    assert rep["confluent"] and rep["max_discrepancy"] <= 1e-9
+
+
+def test_build_reduction_reports_stats():
+    stats = frt.reduction_system(ParameterSignature.parse("1,1"), 0.37).stats
+    assert stats["closure_rows"] == 380
+    assert stats["quadratic_rules"] == 188
+    # one round adds the 92 cubic rules, the next confirms that none is missing
+    assert [rd["added_rules"] for rd in stats["rounds"]] == [92, 0]
+    assert stats["rounds"][1]["residual_rows"] == 0
+    assert stats["completion_rounds"] == 2
+    assert stats["max_rejected_pivot_ratio"] < PIVOT_THRESHOLD < stats["min_accepted_pivot_ratio"]
