@@ -245,7 +245,7 @@ class _CkqGroup(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (OverflowError, fa.InconsistentIdeal) as exc:
+        except (OverflowError, fa.InconsistentIdeal, fa.NonTerminatingRules) as exc:
             raise click.UsageError(f"parameters outside the supported range: {exc}", ctx)
 
 

@@ -681,17 +681,23 @@ class SowAlgebra:
         return out
 
     def mono_mul(self, k1: Key, k2: Key) -> dict[Key, np.ndarray]:
+        """Normal ordering of k1 * k2: push X01^a2 then X02^m2 into k1, append X12^b2.
+
+        Each push extends the memoized product by the prefix of k2 one letter
+        shorter, so X02^m costs m pushes, not m^2.
+        """
         hit = self._mono_memo.get((k1, k2))
         if hit is not None:
             return hit
-        state = self._unit_map(k1)
         a2, m2, b2 = k2
-        for _ in range(a2):
-            state = self._combine(state, self._push01)
-        for _ in range(m2):
-            state = self._combine(state, self._push02)
         if b2:
-            state = {(a, m, b + b2): c for (a, m, b), c in state.items()}
+            state = {(a, m, b + b2): c for (a, m, b), c in self.mono_mul(k1, (a2, m2, 0)).items()}
+        elif m2:
+            state = self._combine(self.mono_mul(k1, (a2, m2 - 1, 0)), self._push02)
+        elif a2:
+            state = self._combine(self.mono_mul(k1, (a2 - 1, 0, 0)), self._push01)
+        else:
+            state = self._unit_map(k1)
         self._mono_memo[(k1, k2)] = state
         return state
 

@@ -9,7 +9,9 @@ tag-closure as a plain complex linear space in the (mask, word) basis and
 row-reducing it: every pivot becomes a rule head, the rest of its row the
 tail.  Reduction of degree <= 3 elements then gives normal forms, and the
 diamond check over all degree-3 words certifies that the quotient algebra is
-well defined.
+well defined.  Tags that no relation carries are factored out: the ideal
+over them is an exact tensor copy of the ideal over the other tags, so the
+pipeline runs on the other tags and ORs the free ones back in.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ TermKey = tuple[int, Word]
 
 class InconsistentIdeal(ValueError):
     """Row reduction produced a bare constant: 1 lies in the ideal."""
+
+
+class NonTerminatingRules(ValueError):
+    """Rewriting did not terminate: the rules cycle or lengthen words.
+
+    Row reduction keeps every tail below its head in exact arithmetic.  When
+    relations are nearly dependent (tiny |v|), round-off left in eliminated
+    columns can grow into tail terms above their heads.
+    """
 
 
 def term_order_key(mask: int, word: Word) -> tuple:
@@ -238,16 +249,32 @@ class RelationSet:
         return len(self.relations)
 
 
-def iota_closure(rs: RelationSet | Sequence[FreeElement], n: int) -> list[FreeElement]:
-    """All nonzero tag-monomial multiples of the given relations.
+def unused_tags(elements: Iterable[FreeElement], n: int) -> int:
+    """Bitmask of the tags that no term of the elements carries."""
+    used = 0
+    for e in elements:
+        for mask, _ in e.terms:
+            used |= mask
+    return ((1 << n) - 1) & ~used
 
-    The ideal over D, viewed as a complex linear space, is spanned by these.
+
+def iota_closure(
+    rs: RelationSet | Sequence[FreeElement], n: int, unused: int = 0
+) -> list[FreeElement]:
+    """All nonzero multiples of the relations by tag monomials disjoint from `unused`.
+
+    With unused = 0 (the default) every tag monomial is used, and the ideal
+    over D, viewed as a complex linear space, is spanned by these.  When no
+    relation carries the tags in `unused`, the full closure is this compact
+    one with every subset of `unused` OR-ed into each row.
     """
     relations = list(rs.relations if isinstance(rs, RelationSet) else rs)
     out: list[FreeElement] = []
     unit = PimenovElement.unit(n)
     for r in relations:
         for mask in range(1 << n):
+            if mask & unused:
+                continue
             iota = PimenovElement(n, {mask: 1.0}) if mask else unit
             m = r * iota
             if not m.is_zero():
@@ -263,12 +290,21 @@ class ReductionSystem:
     elements not resolved by subword rewriting get those elements adjoined
     as explicit rules, which is what makes the degree-3 diamond check a
     meaningful certificate.
+
+    `unused` marks free tags: every rule must be the copy, with some of them
+    OR-ed into head and tail, of a rule that carries none of them.  A term
+    carrying free tags e is then normalized as the term without them, with e
+    OR-ed into the result; the rule chosen under e is always the copy of the
+    one chosen without it, so this equals the plain normal form.
     """
 
-    def __init__(self, n: int, G: int, rules: dict[TermKey, FreeElement]):
+    def __init__(
+        self, n: int, G: int, rules: dict[TermKey, FreeElement], unused: int = 0
+    ):
         self.n = n
         self.G = G
         self.rules = rules
+        self.unused = unused
         self.rules_by_word: dict[Word, list[tuple[int, FreeElement]]] = {}
         for (hm, hw), tail in rules.items():
             self.rules_by_word.setdefault(hw, []).append((hm, tail))
@@ -293,6 +329,12 @@ class ReductionSystem:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        free = mask & self.unused
+        if free:
+            compact = self._nf_term(mask ^ free, word, strategy)
+            result = {(m | free, w): c for (m, w), c in compact.items()}
+            memo[key] = result
+            return result
         positions = range(len(word))
         if strategy == "right":
             positions = reversed(positions)
@@ -328,6 +370,16 @@ class ReductionSystem:
         memo[key] = acc
         return acc
 
+    def _nf(self, mask: int, word: Word, strategy: str) -> dict[TermKey, complex]:
+        """Normal form of one term; a rewriting that never ends is a domain error."""
+        try:
+            return self._nf_term(mask, word, strategy)
+        except RecursionError:
+            raise NonTerminatingRules(
+                f"rewriting {(mask, word)} did not terminate: rule tails lie above "
+                "their heads, the relations are too close to dependent at this v"
+            ) from None
+
     def reduce(self, x: FreeElement, strategy: str = "left") -> FreeElement:
         if strategy not in ("left", "right"):
             raise ValueError("strategy must be 'left' or 'right'")
@@ -335,7 +387,7 @@ class ReductionSystem:
             raise ValueError(f"degree cap {CLOSURE_DEGREE} exceeded")
         out: dict[TermKey, complex] = {}
         for (mask, word), c in x.terms.items():
-            for k, c2 in self._nf_term(mask, word, strategy).items():
+            for k, c2 in self._nf(mask, word, strategy).items():
                 out[k] = out.get(k, 0j) + c * c2
         return FreeElement(x.n, x.G, out)
 
@@ -346,11 +398,11 @@ class ReductionSystem:
             nxt: dict[tuple[int, Word, Word], complex] = {}
             changed = False
             for (mask, lw, rw), c in terms.items():
-                left_nf = self._nf_term(mask, lw, "left")
+                left_nf = self._nf(mask, lw, "left")
                 if left_nf != {(mask, lw): 1.0 + 0j}:
                     changed = True
                 for (m1, lw1), c1 in left_nf.items():
-                    right_nf = self._nf_term(m1, rw, "left")
+                    right_nf = self._nf(m1, rw, "left")
                     if right_nf != {(m1, rw): 1.0 + 0j}:
                         changed = True
                     for (m2, rw1), c2 in right_nf.items():
@@ -477,6 +529,8 @@ def completion_residuals(
     form of every tagged degree-3 word; entries of size <= keep are dropped.
     The quadratic rules span the same complex space as the tag closure of
     the relations, so their products span the same cubic part of the ideal.
+    Masks holding free tags of the system are skipped: their diamonds are
+    copies of the ones without them.
     """
     n, G = sys.n, sys.G
     out: list[FreeElement] = []
@@ -489,6 +543,8 @@ def completion_residuals(
                     out.append(red)
     for word in product(range(G), repeat=CLOSURE_DEGREE):
         for mask in range(1 << n):
+            if mask & sys.unused:
+                continue
             d = FreeElement(n, G, _diamond_gap(sys, mask, word))
             if d.max_abs() > keep:
                 out.append(d)
@@ -497,11 +553,30 @@ def completion_residuals(
 
 def _diamond_gap(sys: ReductionSystem, mask: int, word: Word) -> dict[TermKey, complex]:
     """Left-first minus right-first normal form of one tagged word."""
-    nl = sys._nf_term(mask, word, "left")
-    nr = sys._nf_term(mask, word, "right")
+    nl = sys._nf(mask, word, "left")
+    nr = sys._nf(mask, word, "right")
     if nl == nr:
         return {}
     return {k: nl.get(k, 0j) - nr.get(k, 0j) for k in set(nl) | set(nr)}
+
+
+def _lift_rules(rules: dict[TermKey, FreeElement], unused: int) -> dict[TermKey, FreeElement]:
+    """The rules with every subset of the free tags OR-ed into head and tail.
+
+    The copies are ordered by head, largest first: the pivot order of the
+    elimination over the full tag closure, whose matrix is block diagonal
+    with one copy of the compact matrix per subset.
+    """
+    if not unused:
+        return rules
+    lifted = {}
+    for e in range(unused + 1):
+        if e & unused != e:
+            continue
+        for (hm, hw), tail in rules.items():
+            terms = {(tm | e, tw): c for (tm, tw), c in tail.terms.items()}
+            lifted[(hm | e, hw)] = FreeElement(tail.n, tail.G, terms)
+    return dict(sorted(lifted.items(), key=lambda it: term_order_key(*it[0]), reverse=True))
 
 
 def build_reduction(
@@ -518,37 +593,50 @@ def build_reduction(
     3: cubic ideal elements that subword rewriting cannot resolve (see
     completion_residuals) are row-reduced and adjoined as explicit degree-3
     rules until a round adds none, so normal forms of degree <= 3 elements
-    are unique.  The returned system carries a `stats` dict: closure rows,
-    per-round residual rows and added rules, the round count, and the
-    pivot ratios closest to pivot_threshold on either side.
+    are unique.
+
+    Tags that no relation carries are free: the closure, the residuals and
+    the rules over them are exact copies of those without them.  The
+    elimination and the completion run on the other tags only, and each
+    round's rules are lifted to every free-tag subset; the system normalizes
+    free-tagged terms through the same copies.  The returned system carries
+    a `stats` dict describing the full system over all n tags: closure rows,
+    per-round residual rows and added rules, the round count, the free tags
+    (1-based) and the number of copies, and the pivot ratios closest to
+    pivot_threshold on either side.
     """
-    closure = iota_closure(rs, n)
+    unused = unused_tags(rs, n)
+    copies = 1 << unused.bit_count()
+    closure = iota_closure(rs, n, unused)
     for r in closure:
         if r.degree() > 2:
             raise ValueError("relations must have word degree <= 2")
-    stats: dict = {"closure_rows": len(closure), "pivot_threshold": pivot_threshold}
-    rules = _rref_rules(closure, n, G, pivot_threshold, stats)
+    stats: dict = {
+        "closure_rows": len(closure) * copies,
+        "free_tags": [k + 1 for k in range(n) if unused >> k & 1],
+        "tag_copies": copies,
+        "pivot_threshold": pivot_threshold,
+    }
+    compact = _rref_rules(closure, n, G, pivot_threshold, stats)
+    rules = _lift_rules(compact, unused)
     stats["quadratic_rules"] = len(rules)
     rounds: list[dict] = []
-    sys = ReductionSystem(n, G, rules)
+    sys = ReductionSystem(n, G, rules, unused)
     if complete and rules:
-        quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
+        quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in compact.items()]
         scale = max(r.max_abs() for r in closure)
         keep = 1e-10 * max(scale, 1.0)
         for _ in range(10):
             residuals = completion_residuals(sys, quadratic, keep)
             added = {}
             if residuals:
-                added = {
-                    h: t
-                    for h, t in _rref_rules(residuals, n, G, pivot_threshold, stats).items()
-                    if h not in rules
-                }
-            rounds.append({"residual_rows": len(residuals), "added_rules": len(added)})
+                new = _rref_rules(residuals, n, G, pivot_threshold, stats)
+                added = {h: t for h, t in _lift_rules(new, unused).items() if h not in rules}
+            rounds.append({"residual_rows": len(residuals) * copies, "added_rules": len(added)})
             if not added:
                 break
             rules.update(added)
-            sys = ReductionSystem(n, G, rules)
+            sys = ReductionSystem(n, G, rules, unused)
     stats["rounds"] = rounds
     stats["completion_rounds"] = len(rounds)
     sys.stats = stats

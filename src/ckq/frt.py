@@ -30,6 +30,7 @@ from .free_algebra import (
     free_tensor,
     iota_closure,
     relation_rank,
+    unused_tags,
 )
 from .pimenov import KERNELS, ParameterSignature, PimenovElement, Scalar, pim_apply, worst_residual
 
@@ -519,12 +520,21 @@ def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
     SVD, relative threshold PIVOT_THRESHOLD) and that each matrix lies in
     the row space of the other: residual = max(|B - B P_A|, |A - A P_B|),
     P_X the orthogonal projector onto the row space of X.
+
+    Tags that neither set carries are left out of both closures: over them
+    A and B are block diagonal with `tag_copies` equal blocks, so the
+    residual and the gap are those of one block and the reported ranks are
+    the block ranks times `tag_copies`.
     """
     n = sig.n_slots
-    direct = iota_closure(full_relations(sig, v), n)
-    substituted = iota_closure(
-        [substitute_generators(sig, r) for r in full_relations(sig, v, attachments=False)], n
-    )
+    direct_rel = full_relations(sig, v)
+    substituted_rel = [
+        substitute_generators(sig, r) for r in full_relations(sig, v, attachments=False)
+    ]
+    unused = unused_tags([*direct_rel, *substituted_rel], n)
+    copies = 1 << unused.bit_count()
+    direct = iota_closure(direct_rel, n, unused)
+    substituted = iota_closure(substituted_rel, n, unused)
     columns = sorted({k for r in direct + substituted for k in r.terms})
     A = coefficient_matrix(direct, columns)
     B = coefficient_matrix(substituted, columns)
@@ -548,9 +558,10 @@ def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
         "residual": worst,
         "direct_in_substituted": direct_in_substituted,
         "substituted_in_direct": substituted_in_direct,
-        "rank_direct": rank_a,
-        "rank_substituted": rank_b,
-        "rank_union": rank_ab,
+        "rank_direct": rank_a * copies,
+        "rank_substituted": rank_b * copies,
+        "rank_union": rank_ab * copies,
+        "tag_copies": copies,
         "gap": gap,
         "pass": rank_a == rank_b == rank_ab and worst <= 1e-9,
     }

@@ -6,8 +6,11 @@ algebra, the Taylor oracle lifts analytic kernels through an explicit
 truncated series, and the finite-difference oracle recovers lifted
 coefficients from mixed numerical partial derivatives.  The quotient
 oracles keep the plain Gauss-Jordan elimination, which rescans every
-remaining row at every column, and the completion residuals generated from
-the whole tag closure instead of from the quadratic rules.
+remaining row at every column, the completion residuals generated from
+the whole tag closure instead of from the quadratic rules, and the build
+that eliminates and completes over every tag mask instead of factoring out
+the tags no relation carries.  The series oracle keeps the monomial product
+that replays every letter push from the unit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ import numpy as np
 from ckq.free_algebra import (
     PIVOT_THRESHOLD,
     FreeElement,
+    ReductionSystem,
+    _rref_rules,
     coefficient_matrix,
+    completion_residuals,
+    iota_closure,
     term_order_key,
 )
 from ckq.pimenov import PimenovElement
@@ -238,3 +245,47 @@ def closure_residuals(system, closure, keep):
                 if red.max_abs() > keep:
                     out.append(red)
     return out
+
+
+def reference_build_reduction(rs, n, G, pivot_threshold=PIVOT_THRESHOLD, complete=True):
+    """build_reduction over the full tag closure and every diamond mask."""
+    closure = iota_closure(rs, n)
+    stats = {"closure_rows": len(closure), "pivot_threshold": pivot_threshold}
+    rules = _rref_rules(closure, n, G, pivot_threshold, stats)
+    stats["quadratic_rules"] = len(rules)
+    rounds = []
+    system = ReductionSystem(n, G, rules)
+    if complete and rules:
+        quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
+        keep = 1e-10 * max(1.0, max(r.max_abs() for r in closure))
+        for _ in range(10):
+            residuals = completion_residuals(system, quadratic, keep)
+            added = {}
+            if residuals:
+                new = _rref_rules(residuals, n, G, pivot_threshold, stats)
+                added = {h: t for h, t in new.items() if h not in rules}
+            rounds.append({"residual_rows": len(residuals), "added_rules": len(added)})
+            if not added:
+                break
+            rules.update(added)
+            system = ReductionSystem(n, G, rules)
+    stats["rounds"] = rounds
+    stats["completion_rounds"] = len(rounds)
+    system.stats = stats
+    return system
+
+
+# ---------------------------------------------------------------------------
+# Series-algebra oracle
+# ---------------------------------------------------------------------------
+
+
+def replay_mono_mul(alg, k1, k2):
+    """X01^a X02^m X12^b pushed into k1 letter by letter, from the unit each time."""
+    state = alg._unit_map(k1)
+    a2, m2, b2 = k2
+    for _ in range(a2):
+        state = alg._combine(state, alg._push01)
+    for _ in range(m2):
+        state = alg._combine(state, alg._push02)
+    return {(a, m, b + b2): c for (a, m, b), c in state.items()}

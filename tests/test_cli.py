@@ -106,6 +106,13 @@ def test_inconsistent_ideal_is_usage_error(runner, monkeypatch):
     assert "bare constant" in res.output
 
 
+def test_non_terminating_rewriting_is_usage_error(runner):
+    # at |v| = 1e-5 the 1,1 relations are nearly dependent and rewriting never ends
+    res = runner.invoke(cli, ["verify", "frt", "--j", "1,1", "--v", "1e-5"])
+    assert res.exit_code == 2, res.output
+    assert "did not terminate" in res.output
+
+
 def test_verify_all_contracted(runner):
     res = runner.invoke(cli, ["verify", "all", "--j", "n,n"])
     assert res.exit_code == 0, res.output

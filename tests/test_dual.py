@@ -8,6 +8,7 @@ import pytest
 from ckq import dual
 from ckq.dmat import DMatrix
 from ckq.pimenov import ParameterSignature
+from oracles import replay_mono_mul
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
@@ -112,6 +113,19 @@ def test_normal_ordering_rules():
     r2 = alg.word(["X12", "X01"]) - X01 * X12
     coeff = r2.terms[(0, 1, 0)].blocks[0]
     assert abs(coeff[0] - 1.0) <= 1e-15  # leading sinh coefficient
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "n,n"])
+def test_mono_mul_equals_letter_replay(sig_text):
+    # the memoized product extends its prefix by one push; replaying every
+    # push from the unit does the same operations in the same order
+    alg = dual.SowAlgebra(sig_of(sig_text), dw=6, dx=6)
+    keys = [(a, m, b) for a in range(3) for m in range(7) for b in range(2)]
+    for k1 in keys[::5]:
+        for k2 in keys:
+            got, want = alg.mono_mul(k1, k2), replay_mono_mul(alg, k1, k2)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[k], want[k]) for k in got)
 
 
 def test_sow_normalize_entry_point():

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from ckq import frt
 from ckq.dmat import DMatrix
-from ckq.free_algebra import build_reduction, confluence_check, relation_rank
+from ckq.free_algebra import (
+    PIVOT_THRESHOLD,
+    build_reduction,
+    coefficient_matrix,
+    confluence_check,
+    iota_closure,
+    relation_rank,
+)
 from ckq.frt import FROZEN_QUOTIENT_RANK
 from ckq.pimenov import ParameterSignature
 
@@ -23,6 +30,8 @@ V_SAMPLES = [0.37, 0.61 + 0.29j]
 # rank of the tag closure of the full relation set, the same on the direct
 # and the substituted route; it holds on the whole disc |v| <= 0.9, v = 0 included
 CONTRACTION_RANK = {"1,1": 188, "1,n": 112, "n,1": 112, "n,n": 68}
+# copies of the closures over the tags neither relation set carries
+TAG_COPIES = {"1,1": 4, "1,n": 2, "n,1": 2, "n,n": 1}
 
 
 def sig_of(text):
@@ -157,6 +166,7 @@ def assert_contraction_holds(sig_text, v):
     assert rep["residual"] <= 1e-9
     want = CONTRACTION_RANK[sig_text]
     assert (rep["rank_direct"], rep["rank_substituted"], rep["rank_union"]) == (want,) * 3
+    assert rep["tag_copies"] == TAG_COPIES[sig_text]
     assert rep["gap"] > 1e8  # the numeric rank is far from its threshold
 
 
@@ -174,6 +184,29 @@ def test_contraction_transform(sig_text):
 @settings(max_examples=8, deadline=None)
 def test_contraction_transform_on_v_disc(sig_text, r, phase):
     assert_contraction_holds(sig_text, cmath.rect(r, phase))
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "1,n"])
+def test_contraction_ranks_equal_full_closure_ranks(sig_text):
+    # the certificate works on the tags the relations use; over all tag masks
+    # the closures give the same ranks and the same span residual
+    sig, v = sig_of(sig_text), 0.37
+    direct = iota_closure(frt.full_relations(sig, v), sig.n_slots)
+    substituted = iota_closure(
+        [frt.substitute_generators(sig, r) for r in frt.full_relations(sig, v, attachments=False)],
+        sig.n_slots,
+    )
+    columns = sorted({k for r in direct + substituted for k in r.terms})
+    A, B = coefficient_matrix(direct, columns), coefficient_matrix(substituted, columns)
+    ranks = []
+    for X in (A, B, np.vstack([A, B])):
+        sv = np.linalg.svd(X, compute_uv=False)
+        ranks.append(int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0])))
+    basis = np.linalg.svd(A, full_matrices=False)[2][: ranks[0]]
+    off_span = np.abs(B - (B @ basis.conj().T) @ basis).max()
+    rep = frt.verify_contraction_transform(sig, v)
+    assert ranks == [rep["rank_direct"], rep["rank_substituted"], rep["rank_union"]]
+    assert off_span <= 1e-9 and rep["residual"] <= 1e-9
 
 
 @pytest.mark.parametrize("sig_text", ["1,n", "n,n"])

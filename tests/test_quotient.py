@@ -1,7 +1,9 @@
-"""The quotient pipeline's row reduction and completion residuals, checked
-against the plain reference implementations in oracles.py."""
+"""The quotient pipeline's row reduction, completion residuals and
+free-tag factoring, checked against the plain reference implementations in
+oracles.py."""
 
 import cmath
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,17 +12,21 @@ from hypothesis import strategies as st
 
 from ckq import frt
 from ckq.free_algebra import (
+    CLOSURE_DEGREE,
     PIVOT_THRESHOLD,
     FreeElement,
+    InconsistentIdeal,
+    NonTerminatingRules,
     ReductionSystem,
     _rref_rules,
     build_reduction,
     completion_residuals,
     confluence_check,
     iota_closure,
+    unused_tags,
 )
 from ckq.pimenov import ParameterSignature
-from oracles import closure_residuals, reference_rref_rules
+from oracles import closure_residuals, reference_build_reduction, reference_rref_rules
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 V_SAMPLES = [0.37, 0.61 + 0.29j]
@@ -30,6 +36,11 @@ G = frt.NGEN
 # (the same on the plain reference pipeline), so the property test samples
 # 0.05 <= |v| <= 0.9.
 FROZEN_RULES = {"1,1": 280, "1,n": 178, "n,1": 186, "n,n": 114}
+# tags no relation carries (1-based) and the 2^k copies of the ideal over them
+FREE_TAGS = {"1,1": [1, 2], "1,n": [1], "n,1": [2], "n,n": []}
+# the stats that describe the full system; the pivot ratios come from the
+# compact elimination and may differ where equal-magnitude pivots tie
+STRUCTURAL_STATS = ("closure_rows", "quadratic_rules", "rounds", "completion_rounds", "pivot_threshold")
 
 
 def assert_same_rules(got, want, tol=1e-12):
@@ -156,3 +167,96 @@ def test_build_reduction_reports_stats():
     assert stats["rounds"][1]["residual_rows"] == 0
     assert stats["completion_rounds"] == 2
     assert stats["max_rejected_pivot_ratio"] < PIVOT_THRESHOLD < stats["min_accepted_pivot_ratio"]
+
+
+def assert_same_build(got, want, tol=1e-12):
+    assert_same_rules(got.rules, want.rules, tol)
+    for key in STRUCTURAL_STATS:
+        assert got.stats[key] == want.stats[key], key
+    for stats in (got.stats, want.stats):
+        assert stats["max_rejected_pivot_ratio"] < PIVOT_THRESHOLD < stats["min_accepted_pivot_ratio"]
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_factored_build_matches_reference(sig_text):
+    sig = ParameterSignature.parse(sig_text)
+    for v in V_SAMPLES:
+        rs = frt.full_relations(sig, v)
+        system = build_reduction(rs, sig.n_slots, G)
+        assert_same_build(system, reference_build_reduction(rs, sig.n_slots, G))
+        assert len(system) == FROZEN_RULES[sig_text]
+        assert system.stats["free_tags"] == FREE_TAGS[sig_text]
+        assert system.stats["tag_copies"] == 2 ** len(FREE_TAGS[sig_text])
+
+
+# every (mask, word) of degree <= 3 over D_2 and the 9 generators
+_ALL_TERMS = [
+    (mask, word)
+    for d in range(CLOSURE_DEGREE + 1)
+    for word in product(range(G), repeat=d)
+    for mask in range(4)
+]
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "1,n", "n,1"])
+def test_factored_normal_forms_equal_plain_ones(sig_text):
+    sig = ParameterSignature.parse(sig_text)
+    factored = frt.reduction_system(sig, 0.37)
+    assert factored.unused
+    plain = ReductionSystem(sig.n_slots, G, dict(factored.rules))
+    for strategy in ("left", "right"):
+        for mask, word in _ALL_TERMS:
+            assert factored._nf_term(mask, word, strategy) == plain._nf_term(mask, word, strategy)
+
+
+def test_unused_tags_and_compact_closure():
+    n = 3
+    x = FreeElement(n, 2, {(0b001, (0,)): 1.0, (0, (1, 1)): 2.0})
+    y = FreeElement(n, 2, {(0b100, (1,)): 1.0})
+    assert unused_tags([x, y], n) == 0b010
+    assert unused_tags([], n) == 0b111
+    full = iota_closure([x, y], n)
+    compact = iota_closure([x, y], n, unused=0b010)
+    assert len(full) == 2 * len(compact)
+    assert all(all(m & 0b010 == 0 for m, _ in r.terms) for r in compact)
+
+
+def _random_relation(draw, n, tags):
+    # one term carries every tag of `tags`, so exactly the others are free
+    terms = {(tags, (draw(st.integers(0, 2)),)): 1.0}
+    for _ in range(draw(st.integers(0, 3))):
+        word = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)))
+        mask = draw(st.integers(0, (1 << n) - 1)) & tags
+        re, im = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+        terms[(mask, word)] = complex(re, im)
+    return FreeElement(n, 3, terms)
+
+
+@st.composite
+def relation_sets(draw):
+    n = 3
+    tags = draw(st.sampled_from([0, 0b111, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110]))
+    return [_random_relation(draw, n, tags) for _ in range(draw(st.integers(1, 4)))]
+
+
+def _build_or_error(build, rels):
+    try:
+        return build(rels, 3, 3)
+    except (InconsistentIdeal, NonTerminatingRules) as exc:
+        return type(exc)
+
+
+@given(rels=relation_sets())
+@settings(max_examples=40, deadline=None)
+def test_factored_build_matches_reference_on_random_relations(rels):
+    # relations over n = 3 tags that use none, some or all of them
+    got = _build_or_error(build_reduction, rels)
+    want = _build_or_error(reference_build_reduction, rels)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert_same_rules(got.rules, want.rules, tol=1e-9)
+    for key in STRUCTURAL_STATS:
+        assert got.stats[key] == want.stats[key], key
+    assert got.unused == unused_tags(rels, 3)
+    assert got.stats["tag_copies"] == 2 ** bin(got.unused).count("1")
