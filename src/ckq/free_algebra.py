@@ -392,26 +392,34 @@ class ReductionSystem:
         return FreeElement(x.n, x.G, out)
 
     def reduce_tensor(self, x: TensorElement) -> TensorElement:
-        """Reduce both banks of a tensor-square element (shared tag pool)."""
-        terms = dict(x.terms)
+        """Reduce both banks of a tensor-square element (shared tag pool).
+
+        A pass takes the left normal form of each term, then the right normal
+        form under the tags of the left result.  A result whose tags the
+        right bank did not change is normal in both banks; the others go
+        through another pass, because the left bank may reduce further under
+        their new tags.  Terms left unsettled after 2 * CLOSURE_DEGREE passes
+        raise NonTerminatingRules rather than being returned as if normal.
+        """
+        nf = self._nf
+        done: dict[tuple[int, Word, Word], complex] = {}
+        todo = x.terms
         for _ in range(2 * CLOSURE_DEGREE):
             nxt: dict[tuple[int, Word, Word], complex] = {}
-            changed = False
-            for (mask, lw, rw), c in terms.items():
-                left_nf = self._nf(mask, lw, "left")
-                if left_nf != {(mask, lw): 1.0 + 0j}:
-                    changed = True
-                for (m1, lw1), c1 in left_nf.items():
-                    right_nf = self._nf(m1, rw, "left")
-                    if right_nf != {(m1, rw): 1.0 + 0j}:
-                        changed = True
-                    for (m2, rw1), c2 in right_nf.items():
+            for (mask, lw, rw), c in todo.items():
+                for (m1, lw1), c1 in nf(mask, lw, "left").items():
+                    for (m2, rw1), c2 in nf(m1, rw, "left").items():
                         k = (m2, lw1, rw1)
-                        nxt[k] = nxt.get(k, 0j) + c * c1 * c2
-            terms = {k: c for k, c in nxt.items() if c != 0}
-            if not changed:
+                        target = done if m2 == m1 else nxt
+                        target[k] = target.get(k, 0j) + c * c1 * c2
+            todo = {k: c for k, c in nxt.items() if c != 0}
+            if not todo:
                 break
-        return TensorElement(x.n, x.G, terms)
+        else:
+            raise NonTerminatingRules(
+                f"tensor reduction still rewrote terms after {2 * CLOSURE_DEGREE} passes"
+            )
+        return TensorElement(x.n, x.G, done)
 
 
 def coefficient_matrix(

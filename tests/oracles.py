@@ -10,7 +10,11 @@ remaining row at every column, the completion residuals generated from
 the whole tag closure instead of from the quadratic rules, and the build
 that eliminates and completes over every tag mask instead of factoring out
 the tags no relation carries.  The series oracle keeps the monomial product
-that replays every letter push from the unit.
+that replays every letter push from the unit.  The Hopf-check oracles keep
+the coproduct check that maps and reduces every relation whole, with the
+tensor reduction that repeats full passes until one rewrites nothing, and
+the deformed-algebra products that build one DSeries per term pair and per
+contribution.
 """
 
 from __future__ import annotations
@@ -21,17 +25,21 @@ from itertools import product
 
 import numpy as np
 
+from ckq import dual, frt
 from ckq.free_algebra import (
+    CLOSURE_DEGREE,
     PIVOT_THRESHOLD,
     FreeElement,
+    NonTerminatingRules,
     ReductionSystem,
+    TensorElement,
     _rref_rules,
     coefficient_matrix,
     completion_residuals,
     iota_closure,
     term_order_key,
 )
-from ckq.pimenov import PimenovElement
+from ckq.pimenov import PimenovElement, worst_residual
 
 # ---------------------------------------------------------------------------
 # Grassmann (exterior algebra) oracle
@@ -289,3 +297,69 @@ def replay_mono_mul(alg, k1, k2):
     for _ in range(m2):
         state = alg._combine(state, alg._push02)
     return {(a, m, b + b2): c for (a, m, b), c in state.items()}
+
+
+# ---------------------------------------------------------------------------
+# Hopf-check oracles
+# ---------------------------------------------------------------------------
+
+
+def reference_reduce_tensor(system, x):
+    """Reduce both banks of every term, pass after pass, until a pass rewrites nothing."""
+    terms = dict(x.terms)
+    for _ in range(2 * CLOSURE_DEGREE):
+        nxt = {}
+        changed = False
+        for (mask, lw, rw), c in terms.items():
+            left_nf = system._nf(mask, lw, "left")
+            changed = changed or left_nf != {(mask, lw): 1.0 + 0j}
+            for (m1, lw1), c1 in left_nf.items():
+                right_nf = system._nf(m1, rw, "left")
+                changed = changed or right_nf != {(m1, rw): 1.0 + 0j}
+                for (m2, rw1), c2 in right_nf.items():
+                    k = (m2, lw1, rw1)
+                    nxt[k] = nxt.get(k, 0j) + c * c1 * c2
+        terms = {k: c for k, c in nxt.items() if c != 0}
+        if not changed:
+            return TensorElement(x.n, x.G, terms)
+    raise NonTerminatingRules("reference tensor reduction did not settle")
+
+
+def reference_coproduct_compatibility(sig, v):
+    """Map every relation whole and reduce its image with reference_reduce_tensor."""
+    system = frt.reduction_system(sig, v)
+    residuals, failures = [], []
+    for i, rel in enumerate(frt.full_relations(sig, v)):
+        res = reference_reduce_tensor(system, frt.coproduct(sig, rel)).max_abs()
+        residuals.append(res)
+        if not res <= 1e-9:
+            failures.append((i, res))
+    return {"residual": worst_residual(residuals), "failures": failures, "pass": not failures}
+
+
+def reference_sow_mul(x, y):
+    """x * y with one DSeries coefficient product per term pair and one per contribution."""
+    alg = x.alg
+    out = {}
+    for k1, d1 in x.terms.items():
+        for k2, d2 in y.terms.items():
+            coeff = d1 * d2
+            for k3, arr in alg.mono_mul(k1, k2).items():
+                add = coeff * arr
+                out[k3] = out[k3] + add if k3 in out else add
+    return dual.SowElement(alg, out)
+
+
+def reference_tensor2_mul(x, y):
+    """Tensor-square product, bank by bank, one DSeries product per contribution."""
+    alg = x.alg
+    out = {}
+    for (l1, r1), d1 in x.terms.items():
+        for (l2, r2), d2 in y.terms.items():
+            coeff = d1 * d2
+            for kl, al in alg.mono_mul(l1, l2).items():
+                left = coeff * al
+                for kr, ar in alg.mono_mul(r1, r2).items():
+                    add = left * ar
+                    out[(kl, kr)] = out[(kl, kr)] + add if (kl, kr) in out else add
+    return dual.SowTensor2(alg, out)

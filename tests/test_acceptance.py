@@ -12,7 +12,7 @@ from ckq import dual, frt
 from ckq.dmat import DMatrix
 from ckq.free_algebra import confluence_check, relation_rank
 from ckq.frt import FROZEN_QUOTIENT_RANK
-from ckq.pimenov import KERNELS, ParameterSignature, PimenovElement, pim_apply
+from ckq.pimenov import KERNELS, ParameterSignature, PimenovElement, pim_apply, worst_residual
 
 from oracles import grassmann_product, lift_fd, lift_taylor
 from test_ck_classical import all_signatures, random_vector
@@ -32,7 +32,7 @@ def conclude(criterion: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_function_lifting():
     rng = np.random.default_rng(101)
-    worst_struct, worst_fd = 0.0, 0.0
+    struct, fd_gaps = [], []
     for name in sorted(KERNELS):
         for _ in range(100):
             base = complex(rng.uniform(0.6, 2.0), rng.uniform(-0.4, 0.4))
@@ -41,19 +41,15 @@ def test_criterion_01_function_lifting():
             a = PimenovElement(3, coeffs)
             lifted = pim_apply(KERNELS[name], a)
             oracle = lift_taylor(name, a)
-            worst_struct = max(
-                worst_struct,
-                (lifted - oracle).max_abs() / max(1.0, oracle.max_abs()),
-            )
+            struct.append((lifted - oracle).max_abs() / max(1.0, oracle.max_abs()))
         for _ in range(100):
             coeffs = {m: complex(rng.normal(), rng.normal()) for m in range(4)}
             coeffs[0] = complex(rng.uniform(0.6, 2.0), rng.uniform(-0.4, 0.4))
             a = PimenovElement(2, coeffs)
             lifted = pim_apply(KERNELS[name], a)
             fd = lift_fd(name, a)
-            worst_fd = max(
-                worst_fd, (lifted - fd).max_abs() / max(1.0, lifted.max_abs())
-            )
+            fd_gaps.append((lifted - fd).max_abs() / max(1.0, lifted.max_abs()))
+    worst_struct, worst_fd = worst_residual(struct), worst_residual(fd_gaps)
     conclude(
         "01 function-lifting",
         worst_struct <= 1e-12 and worst_fd <= 1e-6,
@@ -78,24 +74,23 @@ def test_criterion_02_grassmann_embedding():
 
 def test_criterion_03_classical_groups():
     rng = np.random.default_rng(103)
-    worst = 0.0
+    residuals = []
     for size in (2, 3, 4):
         for sig in all_signatures(size):
             A = ck.random_group_element(sig, 5, rng)
-            worst = max(worst, ck.verify_j_orthogonality(A))
-            worst = max(worst, (ck.ck_det(A) - 1).max_abs())
+            residuals.append(ck.verify_j_orthogonality(A))
+            residuals.append((ck.ck_det(A) - 1).max_abs())
             x = random_vector(sig, size, rng)
-            worst = max(
-                worst,
-                (ck.quadratic_form(x) - ck.quadratic_form(ck.apply_matrix(A, x))).max_abs(),
+            residuals.append(
+                (ck.quadratic_form(x) - ck.quadratic_form(ck.apply_matrix(A, x))).max_abs()
             )
-            worst = max(worst, ck.symplectic_orthogonality_residual(ck.to_symplectic(A)))
-    worst_d = 0.0
+            residuals.append(ck.symplectic_orthogonality_residual(ck.to_symplectic(A)))
+    worst = worst_residual(residuals)
+    basis_gaps = []
     for size in (2, 3, 4):
         D, _ = ck.symplectic_transform(size)
-        worst_d = max(
-            worst_d, np.abs(D.T @ ck.c0_matrix(size) @ D - np.eye(size)).max()
-        )
+        basis_gaps.append(np.abs(D.T @ ck.c0_matrix(size) @ D - np.eye(size)).max())
+    worst_d = worst_residual(basis_gaps)
     conclude(
         "03 classical-groups",
         worst <= 1e-10 and worst_d <= 1e-14,
@@ -105,7 +100,7 @@ def test_criterion_03_classical_groups():
 
 def test_criterion_04_line_geometry():
     rng = np.random.default_rng(104)
-    worst = 0.0
+    residuals = []
     checked = 0
     while checked < 1000:
         omega = int(rng.integers(-1, 2))
@@ -117,8 +112,9 @@ def test_criterion_04_line_geometry():
             d2 = ck.distance(omega, ck.translate(omega, xi, b), ck.translate(omega, a, b))
         except (ck.PoleEncountered, ZeroDivisionError):
             continue
-        worst = max(worst, abs(two_step - combined), abs(d1 - d2))
+        residuals += [abs(two_step - combined), abs(d1 - d2)]
         checked += 1
+    worst = worst_residual(residuals)
     demo = ck.contraction_limit_demo(0.3, 1.0, 0.5, [2.0 ** (-k) * 1e-1 for k in range(7)])
     ratio = demo["steps"][-1]["ratio"]
     conclude(
@@ -129,15 +125,16 @@ def test_criterion_04_line_geometry():
 
 
 def test_criterion_05_rmatrix_golden_table():
-    worst = 0.0
+    gaps = []
     for v in V_SAMPLES:
         R = frt.rmatrix3(QUANTUM_SIGS[0], v)
         gold = golden_entries(v)
         for i in range(9):
             for j in range(9):
                 want = gold.get((i + 1, j + 1), 0)
-                worst = max(worst, abs(R.mat.entry(i, j).scalar_part - want))
-    structural = max(
+                gaps.append(abs(R.mat.entry(i, j).scalar_part - want))
+    worst = worst_residual(gaps)
+    structural = worst_residual(
         frt.contracted_structure_residual(frt.rmatrix3(sig, 0.37))
         for sig in CONTRACTED_SIGS
     )
@@ -149,7 +146,7 @@ def test_criterion_05_rmatrix_golden_table():
 
 
 def test_criterion_06_yang_baxter():
-    worst = max(
+    worst = worst_residual(
         frt.qybe_check(frt.rmatrix3(sig, v))
         for sig in QUANTUM_SIGS
         for v in V_SAMPLES
@@ -165,12 +162,13 @@ def test_criterion_06_yang_baxter():
 
 
 def test_criterion_07_quotient_well_defined():
-    worst = 0.0
+    discrepancies = []
     words_ok = True
     for sig in QUANTUM_SIGS:
         rep = confluence_check(frt.reduction_system(sig, 0.37))
-        worst = max(worst, rep["max_discrepancy"])
+        discrepancies.append(rep["max_discrepancy"])
         words_ok = words_ok and rep["words_checked"] == 729
+    worst = worst_residual(discrepancies)
     ranks_ok = all(
         frt.rtt_rank(sig, v) == FROZEN_QUOTIENT_RANK[str(sig)]
         for sig in QUANTUM_SIGS
@@ -184,12 +182,13 @@ def test_criterion_07_quotient_well_defined():
 
 
 def test_criterion_08_hopf_axioms():
-    worst = 0.0
+    residuals = []
     counit_exact = True
     for sig in QUANTUM_SIGS:
-        worst = max(worst, frt.antipode_check(sig, 0.37)["residual"])
-        worst = max(worst, frt.coproduct_compatibility(sig, 0.37)["residual"])
+        residuals.append(frt.antipode_check(sig, 0.37)["residual"])
+        residuals.append(frt.coproduct_compatibility(sig, 0.37)["residual"])
         counit_exact = counit_exact and frt.counit_residual(sig, 0.37) == 0.0
+    worst = worst_residual(residuals)
     conclude(
         "08 hopf-axioms",
         worst <= 1e-9 and counit_exact,
@@ -198,7 +197,7 @@ def test_criterion_08_hopf_axioms():
 
 
 def test_criterion_09_contraction_transform():
-    worst = max(
+    worst = worst_residual(
         frt.verify_contraction_transform(sig, 0.37)["residual"]
         for sig in CONTRACTED_SIGS
     )
@@ -206,10 +205,9 @@ def test_criterion_09_contraction_transform():
 
 
 def test_criterion_10_pairing_golden_table():
-    worst = 0.0
-    for sig in QUANTUM_SIGS:
-        for v in V_SAMPLES:
-            worst = max(worst, dual.verify_pairing_table(sig, v)["residual"])
+    worst = worst_residual(
+        dual.verify_pairing_table(sig, v)["residual"] for sig in QUANTUM_SIGS for v in V_SAMPLES
+    )
     rep = dual.verify_pairing_table(QUANTUM_SIGS[0], 0.37)
     flags = {f["entry"] for f in rep["flagged"]}
     flags_ok = flags == {"l13(tt13)", "lt13(t13)"} and not rep["unlisted_nonzero"]
@@ -222,16 +220,17 @@ def test_criterion_10_pairing_golden_table():
 
 
 def test_criterion_11_dual_algebra():
-    worst = 0.0
+    residuals = []
     for sig in QUANTUM_SIGS:
-        worst = max(worst, dual.verify_L_relations(sig, 0.37)["residual"])
+        residuals.append(dual.verify_L_relations(sig, 0.37)["residual"])
         for v in V_SAMPLES:
-            worst = max(worst, dual.verify_dual_commutators(sig, v)["residual"])
+            residuals.append(dual.verify_dual_commutators(sig, v)["residual"])
+    worst = worst_residual(residuals)
     conclude("11 dual-algebra", worst <= 1e-9, f"residual {worst:.2e}")
 
 
 def test_criterion_12_sow_hopf_suite():
-    worst = max(
+    worst = worst_residual(
         dual.verify_sow_hopf(sig, dw=8, dx=8)["residual"] for sig in QUANTUM_SIGS
     )
     series = [
@@ -248,7 +247,7 @@ def test_criterion_12_sow_hopf_suite():
 
 def test_criterion_13_duality_isomorphism():
     trivial = dual.verify_duality_isomorphism(QUANTUM_SIGS[0], dw=8)["residual"]
-    contracted = max(
+    contracted = worst_residual(
         dual.verify_duality_isomorphism(sig, dw=8)["residual"]
         for sig in CONTRACTED_SIGS
     )

@@ -4,11 +4,13 @@ substitution."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckq import dual
 from ckq.dmat import DMatrix
 from ckq.pimenov import ParameterSignature
-from oracles import replay_mono_mul
+from oracles import reference_sow_mul, reference_tensor2_mul, replay_mono_mul
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
@@ -126,6 +128,97 @@ def test_mono_mul_equals_letter_replay(sig_text):
             got, want = alg.mono_mul(k1, k2), replay_mono_mul(alg, k1, k2)
             assert list(got) == list(want)
             assert all(np.array_equal(got[k], want[k]) for k in got)
+
+
+MONO_KEYS = [(a, m, b) for a in range(3) for m in range(4) for b in range(3)]
+# tag masks the coefficients may carry; JE carries the mask i1*i2 at n,n
+MASK_POOLS = [(0,), (1,), (3,), (0, 2), (1, 2), (0, 1, 2, 3)]
+
+
+def random_series(rng, alg, masks):
+    """A D_n-series with sparse random w-coefficients on a random subset of the masks."""
+    blocks = {}
+    for m in rng.choice(masks, size=rng.integers(1, len(masks) + 1), replace=False):
+        arr = np.zeros(alg.dw + 1, dtype=complex)
+        on = rng.random(alg.dw + 1) < 0.4
+        arr[on] = rng.normal(size=on.sum()) + 1j * rng.normal(size=on.sum())
+        blocks[int(m)] = arr
+    return dual.DSeries(alg.n, alg.dw, blocks)
+
+
+def random_keys(rng, count):
+    return [MONO_KEYS[i] for i in rng.choice(len(MONO_KEYS), size=count, replace=False)]
+
+
+def assert_products_agree(got, want):
+    assert (got - want).max_abs() <= 1e-13 * max(1.0, want.max_abs())
+    assert bool(got.terms) == bool(want.terms)
+
+
+@given(
+    sig_text=st.sampled_from(QUANTUM_SIGS),
+    masks=st.sampled_from(MASK_POOLS),
+    sizes=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_sow_product_equals_per_term_reference(sig_text, masks, sizes, seed):
+    rng = np.random.default_rng(seed)
+    alg = dual.SowAlgebra(sig_of(sig_text), dw=6, dx=6)
+    x, y = (
+        dual.SowElement(alg, {k: random_series(rng, alg, masks) for k in random_keys(rng, size)})
+        for size in sizes
+    )
+    assert_products_agree(x * y, reference_sow_mul(x, y))
+
+
+@given(
+    sig_text=st.sampled_from(QUANTUM_SIGS),
+    masks=st.sampled_from(MASK_POOLS),
+    sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_tensor_product_equals_per_term_reference(sig_text, masks, sizes, seed):
+    rng = np.random.default_rng(seed)
+    alg = dual.SowAlgebra(sig_of(sig_text), dw=6, dx=6)
+    x, y = (
+        dual.SowTensor2(
+            alg,
+            {
+                (kl, kr): random_series(rng, alg, masks)
+                for kl, kr in zip(random_keys(rng, size), random_keys(rng, size))
+            },
+        )
+        for size in sizes
+    )
+    assert_products_agree(x * y, reference_tensor2_mul(x, y))
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "n,n"])
+def test_hopf_checks_equal_per_term_products_bit_for_bit(sig_text, monkeypatch):
+    sig = sig_of(sig_text)
+    batched = (dual.verify_sow_hopf(sig), dual.verify_duality_isomorphism(sig))
+    for cls, reference in ((dual.SowElement, reference_sow_mul), (dual.SowTensor2, reference_tensor2_mul)):
+        batched_mul = cls.__mul__
+        monkeypatch.setattr(
+            cls,
+            "__mul__",
+            lambda x, y, cls=cls, ref=reference, mul=batched_mul: (
+                ref(x, y) if isinstance(y, cls) else mul(x, y)
+            ),
+        )
+    assert (dual.verify_sow_hopf(sig), dual.verify_duality_isomorphism(sig)) == batched
+
+
+def test_sow_products_of_overlapping_tags_vanish():
+    # i1 * i1 = 0: coefficients on one nilpotent tag multiply to nothing
+    alg = dual.SowAlgebra(sig_of("n,n"), dw=4, dx=4)
+    coeff = dual.DSeries(alg.n, alg.dw, {1: np.ones(alg.dw + 1)})
+    x = alg.gen("X01") * coeff
+    assert (x * x).terms == {}
+    t = dual.SowTensor2(alg, {((1, 0, 0), (0, 0, 0)): coeff})
+    assert (t * t).terms == {}
 
 
 def test_sow_normalize_entry_point():

@@ -6,8 +6,10 @@ import pytest
 from ckq.free_algebra import (
     FreeElement,
     InconsistentIdeal,
+    NonTerminatingRules,
     RelationSet,
     ReductionSystem,
+    TensorElement,
     build_reduction,
     confluence_check,
     free_tensor,
@@ -16,6 +18,7 @@ from ckq.free_algebra import (
     term_order_key,
 )
 from ckq.pimenov import PimenovElement
+from oracles import reference_reduce_tensor
 
 
 def gen(g, n=1, G=3):
@@ -131,3 +134,31 @@ def test_reduce_tensor_applies_both_banks():
     nf = sys.reduce_tensor(t)
     want = free_tensor(x * y, x * y) * 0.25
     assert (nf - want).max_abs() <= 1e-14
+
+
+def test_reduce_tensor_rereduces_the_left_bank_under_new_tags():
+    # z = i1 x and i1 y = i1 x: y (x) z = i1 y (x) x = i1 x (x) x, which takes
+    # a second pass, because the tag appears only when the right bank reduces
+    n, G = 1, 3
+    rules = {
+        (0, (2,)): FreeElement(n, G, {(1, (0,)): 1.0}),
+        (1, (1,)): FreeElement(n, G, {(1, (0,)): 1.0}),
+    }
+    sys = ReductionSystem(n, G, rules)
+    t = TensorElement(n, G, {(0, (1,), (2,)): 1.0})
+    assert sys.reduce_tensor(t).terms == {(1, (0,), (0,)): 1.0}
+    assert reference_reduce_tensor(sys, t).terms == {(1, (0,), (0,)): 1.0}
+
+
+def test_reduce_tensor_raises_when_the_banks_keep_trading_tags():
+    # each bank terminates on its own, but the left rule swaps tag 1 for tag
+    # 2 and the right rule swaps it back, so the shared tag pool never settles
+    n, G = 2, 2
+    rules = {
+        (1, (0,)): FreeElement(n, G, {(2, (0,)): 1.0}),
+        (2, (1,)): FreeElement(n, G, {(1, (1,)): 1.0}),
+    }
+    sys = ReductionSystem(n, G, rules)
+    assert sys.reduce(FreeElement(n, G, {(1, (0,)): 1.0})).terms == {(2, (0,)): 1.0}
+    with pytest.raises(NonTerminatingRules):
+        sys.reduce_tensor(TensorElement(n, G, {(2, (0,), (1,)): 1.0}))

@@ -14,6 +14,8 @@ from ckq import frt
 from ckq.dmat import DMatrix
 from ckq.free_algebra import (
     PIVOT_THRESHOLD,
+    FreeElement,
+    RelationSet,
     build_reduction,
     coefficient_matrix,
     confluence_check,
@@ -21,7 +23,8 @@ from ckq.free_algebra import (
     relation_rank,
 )
 from ckq.frt import FROZEN_QUOTIENT_RANK
-from ckq.pimenov import ParameterSignature
+from ckq.pimenov import ParameterSignature, worst_residual
+from oracles import reference_coproduct_compatibility
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
@@ -32,6 +35,8 @@ V_SAMPLES = [0.37, 0.61 + 0.29j]
 CONTRACTION_RANK = {"1,1": 188, "1,n": 112, "n,1": 112, "n,n": 68}
 # copies of the closures over the tags neither relation set carries
 TAG_COPIES = {"1,1": 4, "1,n": 2, "n,1": 2, "n,n": 1}
+# distinct (mask, word) terms of the full relation set
+COPRODUCT_BASIS_TERMS = {"1,1": 82, "1,n": 90, "n,1": 90, "n,n": 62}
 
 
 def sig_of(text):
@@ -157,6 +162,45 @@ def test_coproduct_compatible_with_relations(sig_text):
     assert rep["residual"] <= 1e-9
 
 
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+@pytest.mark.parametrize("v", V_SAMPLES)
+def test_coproduct_check_equals_whole_relation_reference(sig_text, v):
+    # mapping and reducing each basis term once is the same linear map as
+    # mapping and reducing every relation whole
+    sig = sig_of(sig_text)
+    got = frt.coproduct_compatibility(sig, v)
+    want = reference_coproduct_compatibility(sig, v)
+    assert got["pass"] and want["pass"]
+    assert abs(got["residual"] - want["residual"]) <= 1e-12
+    assert [i for i, _ in got["failures"]] == [i for i, _ in want["failures"]]
+    assert got["stats"] == {
+        "relations": len(frt.full_relations(sig, v)),
+        "basis_terms": COPRODUCT_BASIS_TERMS[sig_text],
+    }
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "n,n"])
+@pytest.mark.parametrize("perturbation", ["new word", "scaled term"])
+def test_coproduct_check_flags_a_perturbed_relation(sig_text, perturbation, monkeypatch):
+    sig, v, k = sig_of(sig_text), 0.37, 17
+    frt.reduction_system(sig, v)  # the quotient stays that of the true relations
+    relations = list(frt.full_relations(sig, v))
+    rel = relations[k]
+    if perturbation == "new word":
+        t11, t12 = (FreeElement.generator(sig.n_slots, frt.NGEN, g) for g in (0, 2))
+        relations[k] = rel + t11 * t12 * 0.5
+    else:
+        key, c = next(iter(rel.terms.items()))
+        relations[k] = rel + FreeElement(sig.n_slots, frt.NGEN, {key: 0.01 * c})
+    perturbed = RelationSet(relations, label="perturbed")
+    monkeypatch.setattr(frt, "full_relations", lambda *args, **kwargs: perturbed)
+    got = frt.coproduct_compatibility(sig, v)
+    want = reference_coproduct_compatibility(sig, v)
+    assert not got["pass"] and not want["pass"]
+    assert [i for i, _ in got["failures"]] == [i for i, _ in want["failures"]] == [k]
+    assert abs(got["residual"] - want["residual"]) <= 1e-12
+
+
 # -- contraction ------------------------------------------------------------
 
 
@@ -230,9 +274,9 @@ def test_contraction_agrees_with_mutual_reduction(wrong_exponent, monkeypatch):
     ]
     sys_direct = build_reduction(direct, sig.n_slots, frt.NGEN)
     sys_substituted = build_reduction(substituted, sig.n_slots, frt.NGEN)
-    mutual = max(
-        max(sys_direct.reduce(r).max_abs() for r in substituted),
-        max(sys_substituted.reduce(r).max_abs() for r in direct),
+    mutual = worst_residual(
+        [sys_direct.reduce(r).max_abs() for r in substituted]
+        + [sys_substituted.reduce(r).max_abs() for r in direct]
     )
     rep = frt.verify_contraction_transform(sig, 0.37)
     assert rep["pass"] == (mutual <= 1e-9) == (not wrong_exponent)
@@ -261,7 +305,7 @@ def test_relation_json_round_trip():
     data = json.loads(text)
     assert "relations" in data and len(data["relations"]) == len(rs)
     back = frt.relations_from_json(data, sig.n_slots)
-    worst = max(
+    worst = worst_residual(
         (a - b).max_abs() for a, b in zip(rs.relations, back.relations)
     )
     assert worst <= 1e-12
