@@ -2,8 +2,9 @@
 
 A matrix is stored as a map ``tag-mask -> complex numpy block``; the entry
 (i, j) of the matrix is the element whose coefficient at `mask` is
-``blocks[mask][i, j]``.  Products combine blocks of disjoint masks only, so
-nilpotency is exact; the numeric work is plain numpy matmuls per mask pair.
+``blocks[mask][i, j]``.  Products combine blocks of disjoint masks only
+(`pimenov.tag_product`), so nilpotency is exact; the numeric work is plain
+numpy matmuls per mask pair.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pimenov import NotInvertible, PimenovElement, Scalar, worst_residual
+from .pimenov import NotInvertible, PimenovElement, Scalar, tag_product, worst_residual
 
 
 class DMatrix:
@@ -77,15 +78,7 @@ class DMatrix:
 
     def __mul__(self, c: "Scalar | PimenovElement") -> "DMatrix":
         if isinstance(c, PimenovElement):
-            out: dict[int, np.ndarray] = {}
-            for m1, b in self.blocks.items():
-                for m2, s in c.coeffs.items():
-                    if m1 & m2:
-                        continue
-                    m = m1 | m2
-                    add = b * s
-                    out[m] = out[m] + add if m in out else add
-            return DMatrix(self.n, self.size, out)
+            return DMatrix(self.n, self.size, tag_product(self.blocks, c.coeffs))
         return DMatrix(self.n, self.size, {m: b * c for m, b in self.blocks.items()})
 
     __rmul__ = __mul__
@@ -93,30 +86,15 @@ class DMatrix:
     def __matmul__(self, other: "DMatrix") -> "DMatrix":
         if other.size != self.size or other.n != self.n:
             raise ValueError("shape/tag mismatch")
-        out: dict[int, np.ndarray] = {}
-        for m1, b1 in self.blocks.items():
-            for m2, b2 in other.blocks.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                prod = b1 @ b2
-                out[m] = out[m] + prod if m in out else prod
-        return DMatrix(self.n, self.size, out)
+        return DMatrix(self.n, self.size, tag_product(self.blocks, other.blocks, np.matmul))
 
     @property
     def T(self) -> "DMatrix":
         return DMatrix(self.n, self.size, {m: b.T for m, b in self.blocks.items()})
 
     def kron(self, other: "DMatrix") -> "DMatrix":
-        out: dict[int, np.ndarray] = {}
-        for m1, b1 in self.blocks.items():
-            for m2, b2 in other.blocks.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                prod = np.kron(b1, b2)
-                out[m] = out[m] + prod if m in out else prod
-        return DMatrix(self.n, self.size * other.size, out)
+        blocks = tag_product(self.blocks, other.blocks, np.kron)
+        return DMatrix(self.n, self.size * other.size, blocks)
 
     def inv(self) -> "DMatrix":
         """Inverse when the scalar block is invertible: the remainder is

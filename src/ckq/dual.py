@@ -27,6 +27,7 @@ from .pimenov import (
     cosh_j,
     jfactor_square,
     sinhc_j,
+    tag_product,
     tanhc_j,
     worst_residual,
 )
@@ -465,10 +466,6 @@ class DSeries:
         arr[0] = c
         return cls(n, d, {0: arr})
 
-    @classmethod
-    def from_array(cls, n: int, d: int, arr: np.ndarray) -> "DSeries":
-        return cls(n, d, {0: arr})
-
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
             return not self.blocks  # every kept block has a nonzero entry
@@ -497,15 +494,8 @@ class DSeries:
             return DSeries(
                 self.n, self.d, {m: ser_mul(a, other, self.d) for m, a in self.blocks.items()}
             )
-        out: dict[int, np.ndarray] = {}
-        for m1, a in self.blocks.items():
-            for m2, b in other.blocks.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                add = ser_mul(a, b, self.d)
-                out[m] = out[m] + add if m in out else add
-        return DSeries(self.n, self.d, out)
+        blocks = tag_product(self.blocks, other.blocks, lambda a, b: ser_mul(a, b, self.d))
+        return DSeries(self.n, self.d, blocks)
 
     __rmul__ = __mul__
 
@@ -541,13 +531,17 @@ def _pair_products(
     """
     masks_a = sorted({m for ds in first for m in ds.blocks})
     masks_b = sorted({m for ds in second for m in ds.blocks})
-    pairs = [(i, j) for i, m1 in enumerate(masks_a) for j, m2 in enumerate(masks_b) if not m1 & m2]
-    masks = sorted({masks_a[i] | masks_b[j] for i, j in pairs})
     a = _dense_blocks(first, masks_a, d)
     b = _dense_blocks(second, masks_b, d)
+    products = tag_product(
+        {m: a[:, None, i] for i, m in enumerate(masks_a)},
+        {m: b[None, :, j] for j, m in enumerate(masks_b)},
+        _batch_ser_mul,
+    )
+    masks = sorted(products)
     out = np.zeros((len(first), len(second), len(masks), d + 1), dtype=complex)
-    for i, j in pairs:
-        out[:, :, masks.index(masks_a[i] | masks_b[j])] += _batch_ser_mul(a[:, None, i], b[None, :, j])
+    for i, m in enumerate(masks):
+        out[:, :, i] = products[m]
     return masks, out.reshape(len(first) * len(second), len(masks), d + 1)
 
 
@@ -636,7 +630,7 @@ class SowAlgebra:
         for k in range(min(self.dw, self.dx) + 1):
             arr = np.zeros(self.dw + 1, dtype=complex)
             arr[k] = c**k / math.factorial(k)
-            terms[(0, k, 0)] = DSeries.from_array(self.n, self.dw, arr)
+            terms[(0, k, 0)] = DSeries(self.n, self.dw, {0: arr})
         return SowElement(self, terms)
 
     def word(self, names: Sequence[str]) -> "SowElement":
@@ -791,8 +785,8 @@ class SowAlgebra:
             arr_m[k] = (-0.5) ** k / math.factorial(k)
             arr_p = np.zeros(dw + 1, dtype=complex)
             arr_p[k] = 0.5**k / math.factorial(k)
-            terms[((0, k, 0), gkey)] = DSeries.from_array(self.n, dw, arr_m)
-            terms[(gkey, (0, k, 0))] = DSeries.from_array(self.n, dw, arr_p)
+            terms[((0, k, 0), gkey)] = DSeries(self.n, dw, {0: arr_m})
+            terms[(gkey, (0, k, 0))] = DSeries(self.n, dw, {0: arr_p})
         return SowTensor2(self, terms)
 
     def delta_mono(self, key: Key) -> dict[tuple[Key, Key], np.ndarray]:
@@ -967,7 +961,7 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
     sinh_el = SowElement(
         alg,
         {
-            (0, p, 0): DSeries.from_array(alg.n, alg.dw, arr)
+            (0, p, 0): DSeries(alg.n, alg.dw, {0: arr})
             for p, arr in alg.sinh_over_w()
         },
     )

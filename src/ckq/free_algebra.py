@@ -2,7 +2,9 @@
 
 Elements are complex linear combinations of pairs (tag mask, word), where a
 word is a tuple of generator ids.  Words concatenate under multiplication and
-tag masks combine by the nilpotent rule (overlap kills the term).
+tag masks combine by the nilpotent rule (overlap kills the term); the
+FreeElement and TensorElement products keep their own loop over (mask, word)
+keys, and every other D_n product goes through `pimenov.tag_product`.
 
 Quadratic relation sets are turned into rewrite rules by viewing their
 tag-closure as a plain complex linear space in the (mask, word) basis and
@@ -129,16 +131,9 @@ class FreeElement:
                 self.n, self.G, {k: c * other for k, c in self.terms.items()}
             )
         if isinstance(other, PimenovElement):
-            out: dict[TermKey, complex] = {}
-            for (m1, w), c1 in self.terms.items():
-                for m2, c2 in other.coeffs.items():
-                    if m1 & m2:
-                        continue
-                    k = (m1 | m2, w)
-                    out[k] = out.get(k, 0j) + c1 * c2
-            return FreeElement(self.n, self.G, out)
+            other = FreeElement.const(self.n, self.G, other)
         self._check(other)
-        out = {}
+        out: dict[TermKey, complex] = {}
         for (m1, w1), c1 in self.terms.items():
             for (m2, w2), c2 in other.terms.items():
                 if m1 & m2:
@@ -156,14 +151,9 @@ class FreeElement:
 def free_tensor(a: FreeElement, b: FreeElement) -> "TensorElement":
     """a (x) b in the tensor square (left/right word banks, shared tags)."""
     a._check(b)
-    out: dict[tuple[int, Word, Word], complex] = {}
-    for (m1, w1), c1 in a.terms.items():
-        for (m2, w2), c2 in b.terms.items():
-            if m1 & m2:
-                continue
-            k = (m1 | m2, w1, w2)
-            out[k] = out.get(k, 0j) + c1 * c2
-    return TensorElement(a.n, a.G, out)
+    left = TensorElement(a.n, a.G, {(m, w, ()): c for (m, w), c in a.terms.items()})
+    right = TensorElement(b.n, b.G, {(m, (), w): c for (m, w), c in b.terms.items()})
+    return left * right
 
 
 class TensorElement:
@@ -212,15 +202,8 @@ class TensorElement:
                 self.n, self.G, {k: c * other for k, c in self.terms.items()}
             )
         if isinstance(other, PimenovElement):
-            out: dict[tuple[int, Word, Word], complex] = {}
-            for (m1, lw, rw), c1 in self.terms.items():
-                for m2, c2 in other.coeffs.items():
-                    if m1 & m2:
-                        continue
-                    k = (m1 | m2, lw, rw)
-                    out[k] = out.get(k, 0j) + c1 * c2
-            return TensorElement(self.n, self.G, out)
-        out = {}
+            other = TensorElement(self.n, self.G, {(m, (), ()): c for m, c in other.coeffs.items()})
+        out: dict[tuple[int, Word, Word], complex] = {}
         for (m1, l1, r1), c1 in self.terms.items():
             for (m2, l2, r2), c2 in other.terms.items():
                 if m1 & m2:
@@ -591,17 +574,14 @@ def build_reduction(
     rs: RelationSet | Sequence[FreeElement],
     n: int,
     G: int,
-    pivot_threshold: float = PIVOT_THRESHOLD,
-    complete: bool = True,
 ) -> ReductionSystem:
     """Turn a degree <= 2 relation set into a rewriting system.
 
     The tag-closure of the relations is row-reduced into quadratic rules.
-    With complete=True (the default) the system is then completed at degree
-    3: cubic ideal elements that subword rewriting cannot resolve (see
-    completion_residuals) are row-reduced and adjoined as explicit degree-3
-    rules until a round adds none, so normal forms of degree <= 3 elements
-    are unique.
+    The system is then completed at degree 3: cubic ideal elements that
+    subword rewriting cannot resolve (see completion_residuals) are
+    row-reduced and adjoined as explicit degree-3 rules until a round adds
+    none, so normal forms of degree <= 3 elements are unique.
 
     Tags that no relation carries are free: the closure, the residuals and
     the rules over them are exact copies of those without them.  The
@@ -611,7 +591,7 @@ def build_reduction(
     a `stats` dict describing the full system over all n tags: closure rows,
     per-round residual rows and added rules, the round count, the free tags
     (1-based) and the number of copies, and the pivot ratios closest to
-    pivot_threshold on either side.
+    PIVOT_THRESHOLD on either side.
     """
     unused = unused_tags(rs, n)
     copies = 1 << unused.bit_count()
@@ -623,14 +603,14 @@ def build_reduction(
         "closure_rows": len(closure) * copies,
         "free_tags": [k + 1 for k in range(n) if unused >> k & 1],
         "tag_copies": copies,
-        "pivot_threshold": pivot_threshold,
+        "pivot_threshold": PIVOT_THRESHOLD,
     }
-    compact = _rref_rules(closure, n, G, pivot_threshold, stats)
+    compact = _rref_rules(closure, n, G, stats=stats)
     rules = _lift_rules(compact, unused)
     stats["quadratic_rules"] = len(rules)
     rounds: list[dict] = []
     sys = ReductionSystem(n, G, rules, unused)
-    if complete and rules:
+    if rules:
         quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in compact.items()]
         scale = max(r.max_abs() for r in closure)
         keep = 1e-10 * max(scale, 1.0)
@@ -638,7 +618,7 @@ def build_reduction(
             residuals = completion_residuals(sys, quadratic, keep)
             added = {}
             if residuals:
-                new = _rref_rules(residuals, n, G, pivot_threshold, stats)
+                new = _rref_rules(residuals, n, G, stats=stats)
                 added = {h: t for h, t in _lift_rules(new, unused).items() if h not in rules}
             rounds.append({"residual_rows": len(residuals) * copies, "added_rules": len(added)})
             if not added:
@@ -651,18 +631,16 @@ def build_reduction(
     return sys
 
 
-def confluence_check(sys: ReductionSystem, degree: int = 3) -> dict:
-    """Left-first vs right-first reduction of every tagged degree-`degree` word.
+def confluence_check(sys: ReductionSystem) -> dict:
+    """Left-first vs right-first reduction of every tagged degree-3 word.
 
     Every word is checked under every tag mask; `words_checked` counts the
     words, `tagged_words_checked` the (mask, word) pairs.
     """
-    if degree != 3:
-        raise ValueError("confluence check is scoped to degree 3")
     masks = range(1 << sys.n)
     per_word: list[float] = []
     failing: list[Word] = []
-    for word in product(range(sys.G), repeat=degree):
+    for word in product(range(sys.G), repeat=CLOSURE_DEGREE):
         diff = worst_residual(abs(c) for mask in masks for c in _diamond_gap(sys, mask, word).values())
         per_word.append(diff)
         if not diff <= 1e-9:
@@ -676,12 +654,15 @@ def confluence_check(sys: ReductionSystem, degree: int = 3) -> dict:
     }
 
 
-def relation_rank(
-    rs: RelationSet | Sequence[FreeElement], tol: float = PIVOT_THRESHOLD
-) -> int:
-    """Numeric rank of a relation list in the (mask, word) basis."""
+def numeric_rank(sv: np.ndarray) -> int:
+    """Count of singular values above PIVOT_THRESHOLD times the largest."""
+    return int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0]))
+
+
+def relation_rank(rs: RelationSet | Sequence[FreeElement]) -> int:
+    """Numeric rank of a relation list in the (mask, word) basis (see numeric_rank)."""
     relations = list(rs.relations if isinstance(rs, RelationSet) else rs)
     columns = sorted({k for r in relations for k in r.terms})
     if not columns:
         return 0
-    return int(np.linalg.matrix_rank(coefficient_matrix(relations, columns), tol=tol))
+    return numeric_rank(np.linalg.svd(coefficient_matrix(relations, columns), compute_uv=False))

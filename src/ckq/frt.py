@@ -20,7 +20,6 @@ import numpy as np
 
 from .dmat import DMatrix
 from .free_algebra import (
-    PIVOT_THRESHOLD,
     FreeElement,
     ReductionSystem,
     RelationSet,
@@ -29,6 +28,7 @@ from .free_algebra import (
     coefficient_matrix,
     free_tensor,
     iota_closure,
+    numeric_rank,
     relation_rank,
     unused_tags,
 )
@@ -528,11 +528,6 @@ def substitute_generators(sig: ParameterSignature, x: FreeElement) -> FreeElemen
     return out
 
 
-def _numeric_rank(sv: np.ndarray) -> int:
-    """Count of singular values above PIVOT_THRESHOLD times the largest."""
-    return int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0]))
-
-
 def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
     """Relations built directly at sig vs the rescaled undeformed relations.
 
@@ -567,7 +562,7 @@ def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
     _, sv_a, basis_a = np.linalg.svd(A, full_matrices=False)
     _, sv_b, basis_b = np.linalg.svd(B, full_matrices=False)
     sv_ab = np.linalg.svd(np.vstack([A, B]), compute_uv=False)
-    rank_a, rank_b, rank_ab = (_numeric_rank(sv) for sv in (sv_a, sv_b, sv_ab))
+    rank_a, rank_b, rank_ab = (numeric_rank(sv) for sv in (sv_a, sv_b, sv_ab))
 
     def off_span(X: np.ndarray, basis: np.ndarray) -> float:
         # max |X - X P| with P = basis^H basis, basis orthonormal rows

@@ -5,6 +5,8 @@ nilpotent tags i1..in (each tag squares to zero, tags commute).  Monomials
 are encoded as bitmasks over the tags, so an element is just a sparse map
 ``bitmask -> complex``.  The nilpotent structure is tracked exactly: a
 product term whose tag sets overlap is dropped outright, never rounded.
+`tag_product` is the one place that rule lives; the matrices of `dmat` and
+the w-series of `dual` multiply through it too.
 
 The module also provides
 
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 MAX_TAGS = 8
 DEFAULT_TOL = 1e-9
@@ -40,6 +43,28 @@ class TagCountMismatch(ValueError):
 
 def _popcount(mask: int) -> int:
     return bin(mask).count("1")
+
+
+def tag_product(
+    a: Mapping[int, Any], b: Mapping[int, Any], mul: Callable[[Any, Any], Any] = operator.mul
+) -> dict[int, Any]:
+    """The D_n product of two mask-keyed maps: mul(a[m1], b[m2]) summed at m1 | m2.
+
+    This is the one place the nilpotent rule is written down: a repeated
+    tag squares to zero, so a pair whose masks overlap contributes nothing.
+    Values are whatever mul combines and + adds (scalars, numpy blocks,
+    w-series); each mask starts from its first contribution as is and adds
+    the rest in the iteration order of a, then b.
+    """
+    out: dict[int, Any] = {}
+    for m1, x in a.items():
+        for m2, y in b.items():
+            if m1 & m2:
+                continue
+            m = m1 | m2
+            p = mul(x, y)
+            out[m] = out[m] + p if m in out else p
+    return out
 
 
 def worst_residual(values: Iterable[float]) -> float:
@@ -148,14 +173,9 @@ class PimenovElement:
         other = _coerce(other, self.n)
         if other.n != self.n:
             raise TagCountMismatch(f"{self.n} vs {other.n}")
-        out: dict[int, complex] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                if m1 & m2:
-                    continue  # a repeated tag squares to zero
-                m = m1 | m2
-                out[m] = out.get(m, 0j) + c1 * c2
-        return PimenovElement(self.n, out)
+        # 0j + c clears the -0.0 parts a lone product can carry
+        out = tag_product(self.coeffs, other.coeffs)
+        return PimenovElement(self.n, {m: 0j + c for m, c in out.items()})
 
     __rmul__ = __mul__
 

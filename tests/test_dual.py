@@ -221,6 +221,34 @@ def test_sow_products_of_overlapping_tags_vanish():
     assert (t * t).terms == {}
 
 
+@given(n=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), overlap=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_dseries_product_equals_per_mask_ser_mul_sums(n, seed, overlap):
+    # with `overlap` every block of a and b carries tag i1, and i1 * i1 = 0
+    rng = np.random.default_rng(seed)
+    d = 5
+    tag = 1 if overlap and n else 0
+
+    def series():
+        masks = rng.choice(2**n, size=rng.integers(1, 2**n + 1), replace=False)
+        arrs = rng.normal(size=(len(masks), d + 1)) + 1j * rng.normal(size=(len(masks), d + 1))
+        arrs[rng.random(arrs.shape) < 0.4] = 0
+        return dual.DSeries(n, d, {int(m) | tag: arr for m, arr in zip(masks, arrs)})
+
+    a, b = series(), series()
+    got = a * b
+    zero = np.zeros(d + 1, dtype=complex)
+    for m in range(2**n):
+        # the coefficient at m sums a[s] * b[m - s] over the subsets s of m
+        want = zero
+        for s in range(m + 1):
+            if s & m == s:
+                want = want + dual.ser_mul(a.blocks.get(s, zero), b.blocks.get(m ^ s, zero), d)
+        assert np.abs(got.blocks.get(m, zero) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    if tag:
+        assert got.blocks == {}
+
+
 def test_sow_normalize_entry_point():
     alg = dual.SowAlgebra(sig_of("n,n"), dw=4, dx=4)
     x = dual.sow_normalize((alg, ["X02", "X01"]))

@@ -89,7 +89,7 @@ def test_build_reduction_toy_system():
 
 def test_confluence_toy_system():
     sys = _toy_commutative_rules()
-    rep = confluence_check(sys, degree=3)
+    rep = confluence_check(sys)
     assert rep["confluent"]
     assert rep["words_checked"] == 2**3
     assert rep["tagged_words_checked"] == 2**3 * 2

@@ -1,12 +1,14 @@
 """Unit and property tests for the nilpotent coefficient algebra."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckq.dmat import DMatrix
 from ckq.pimenov import (
     KERNELS,
     NotInvertible,
@@ -106,6 +108,45 @@ def test_inverse_property(a):
 def test_nilpotent_part_not_invertible():
     with pytest.raises(NotInvertible):
         PimenovElement.tag(2, 1).inv()
+
+
+# -- D_n matrices -------------------------------------------------------------
+
+
+@st.composite
+def sparse_dmatrices(draw, n, size, tag):
+    """A DMatrix with sparse random blocks on a random subset of the masks, OR-ed with `tag`."""
+    masks = draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=2**n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = {}
+    for m in masks:
+        block = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        block[rng.random((size, size)) < 0.3] = 0
+        blocks[m | tag] = block
+    return DMatrix(n, size, blocks)
+
+
+@given(data=st.data(), n=st.integers(0, 3), size=st.integers(1, 3), overlap=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_dmatrix_products_equal_entrywise_element_sums(data, n, size, overlap):
+    # with `overlap` every block of A and B carries tag i1, and i1 * i1 = 0
+    tag = 1 if overlap and n else 0
+    A = data.draw(sparse_dmatrices(n, size, tag))
+    B = data.draw(sparse_dmatrices(n, size, tag))
+    c = data.draw(elements(n))
+    matmul, kron, scaled = A @ B, A.kron(B), A * c
+
+    def assert_close(got, want):
+        assert (got - want).max_abs() <= 1e-12 * max(1.0, want.max_abs())
+
+    for i, j in product(range(size), repeat=2):
+        want = sum((A.entry(i, k) * B.entry(k, j) for k in range(size)), PimenovElement(n))
+        assert_close(matmul.entry(i, j), want)
+        assert_close(scaled.entry(i, j), A.entry(i, j) * c)
+        for k, l in product(range(size), repeat=2):
+            assert_close(kron.entry(i * size + k, j * size + l), A.entry(i, j) * B.entry(k, l))
+    if tag:
+        assert matmul.blocks == kron.blocks == (A * PimenovElement.tag(n, 1)).blocks == {}
 
 
 # -- Grassmann embedding ----------------------------------------------------
