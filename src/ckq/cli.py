@@ -1,13 +1,15 @@
 """Command-line entry point: verification suites, golden tables, data emission.
 
-Reports are streamed as JSON lines (one object per check, sorted by check
-id) or as a plain table.  Exit status is 0 only when every reported check
-passes; malformed flags or signatures exit with status 2.
+Every verify command filters one table of checks, `CHECKS`.  Reports are
+streamed as JSON lines (one object per check, sorted by check id) or as a
+plain table.  Exit status is 0 only when every reported check passes;
+malformed flags or signatures exit with status 2.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import os
 import sys
@@ -33,10 +35,6 @@ from .pimenov import (
 )
 
 DEFAULT_SEED = 20260824
-RESIDUAL_TOL = 1e-9
-
-# A suite maps each check id to a thunk that computes that check's report.
-Suite = dict[str, Callable[[], dict]]
 
 
 # ---------------------------------------------------------------------------
@@ -117,121 +115,138 @@ def _report(reports: list[dict], fmt: str) -> None:
         sys.exit(1)
 
 
-def _run(suite: Suite, check: str = "all") -> list[dict]:
-    """Reports of every check in the suite, or only of the one named `check`."""
-    return [thunk() for cid, thunk in suite.items() if check in ("all", cid)]
-
-
-def _entry(check: str, sig: str, residual: float, tol: float = RESIDUAL_TOL, **extra) -> dict:
-    rep = {"check": check, "signature": sig, "residual": float(residual), "pass": bool(residual <= tol)}
-    rep.update(extra)
-    return rep
+def _entry(check: str, sig: str, residual: float, tol: float | None, **fields) -> dict:
+    """One report line.  A residual passes when it is <= tol; with tol None,
+    `fields` carries the verdict ("pass") of the library report."""
+    passed = fields.pop("pass") if tol is None else residual <= tol
+    return {"check": check, "signature": sig, "residual": float(residual), "pass": bool(passed), **fields}
 
 
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True
 )
+v_option = click.option("--v", "v_text", default="0.37", show_default=True)
+trunc_option = click.option("--trunc", type=click.IntRange(min=0), default=8, show_default=True)
 
 
 # ---------------------------------------------------------------------------
-# suites
+# the check table
 # ---------------------------------------------------------------------------
 
 
-def _suite_pimenov(seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    n = 3
-    a = PimenovElement(
-        n,
-        {
-            mask: complex(rng.normal(), rng.normal())
-            for mask in range(2**n)
-        },
-    )
-    a = a + (1.5 - a.scalar_part)  # keep logs and inverses well-defined
-    out = []
-    out.append(
-        _entry("pim.exp-log", "-", (pim_apply(KERNELS["log"], pim_apply(KERNELS["exp"], a)) - a).max_abs(), 1e-12)
-    )
-    s, c = pim_apply(KERNELS["sin"], a), pim_apply(KERNELS["cos"], a)
-    out.append(_entry("pim.trig-identity", "-", (s * s + c * c - 1).max_abs(), 1e-12))
-    sh, chh = pim_apply(KERNELS["sinh"], a), pim_apply(KERNELS["cosh"], a)
-    out.append(_entry("pim.hyperbolic-identity", "-", (chh * chh - sh * sh - 1).max_abs(), 1e-12))
-    out.append(_entry("pim.inverse", "-", (a * a.inv() - 1).max_abs(), 1e-12))
-    return out
+class _Inputs:
+    """What the checks of one invocation read.  The quantum signature and the
+    two seeded elements are built on first use, at most once each."""
+
+    def __init__(self, sig_text: str, v: complex = 0j, trunc: int = 8,
+                 seed: int = DEFAULT_SEED, size: int = 4) -> None:
+        self.sig_text, self.v, self.vs = sig_text, v, str(v)
+        self.trunc, self.seed, self.size = trunc, seed, size
+
+    @functools.cached_property
+    def sig(self) -> ParameterSignature:
+        return _quantum_sig(self.sig_text)
+
+    @functools.cached_property
+    def d3(self) -> PimenovElement:
+        """A seeded element of D_3 with scalar part 1.5, so logs and inverses exist."""
+        rng = np.random.default_rng(self.seed)
+        a = PimenovElement(3, {mask: complex(rng.normal(), rng.normal()) for mask in range(8)})
+        return a + (1.5 - a.scalar_part)
+
+    def lift(self, kernel: str) -> PimenovElement:
+        return pim_apply(KERNELS[kernel], self.d3)
+
+    @functools.cached_property
+    def group(self) -> ck.CKMatrix:
+        """A seeded element of SO(size; j), the signature's slots repeated or cut to size - 1."""
+        sig = _parse_sig(",".join((self.sig_text.split(",") * self.size)[: self.size - 1]))
+        return ck.random_group_element(sig, 6, np.random.default_rng(self.seed))
+
+    def signature(self, suite: str) -> str:
+        """The signature that the suite's checks ran at."""
+        if suite == "pimenov":
+            return "-"
+        return str(self.group.sig if suite == "classical" else self.sig)
 
 
-def _suite_classical(sig_text: str, size: int, seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    tokens = sig_text.split(",")
-    if len(tokens) != size - 1:
-        tokens = (tokens * size)[: size - 1]
-    sig = _parse_sig(",".join(tokens))
-    s = str(sig)
-    out = []
-    A = ck.random_group_element(sig, 6, rng)
-    out.append(_entry("ck.orthogonality", s, ck.verify_j_orthogonality(A), 1e-10))
-    out.append(_entry("ck.determinant", s, (ck.ck_det(A) - 1).max_abs(), 1e-10))
-    out.append(_entry("ck.special-shape", s, ck.special_shape_residual(A), 1e-10))
-    B = ck.to_symplectic(A)
-    out.append(_entry("ck.symplectic", s, ck.symplectic_orthogonality_residual(B), 1e-10))
-    distances = []
-    for omega in (1, 0, -1):
-        xa = ck.translate(omega, 0.21, 0.4)
-        xb = ck.translate(omega, -0.13, 0.4)
-        distances.append(abs(ck.distance(omega, xa, xb) - ck.distance(omega, 0.21, -0.13)))
-    out.append(_entry("ck.translation-distance", s, worst_residual(distances), 1e-12))
-    demo = ck.contraction_limit_demo(0.3, 1.0, 0.5, [4e-3, 2e-3, 1e-3])
-    ratio = demo["steps"][-1]["ratio"]
-    out.append(_entry("ck.contraction-ratio", s, abs(ratio - 0.25), 0.05))
+def _judged(report: dict, **fields) -> dict:
+    """A library report's residual and its own verdict, plus the fields to print."""
+    return {"residual": report["residual"], "pass": report["pass"], **fields}
+
+
+def _translation_drift() -> float:
+    return worst_residual(
+        abs(ck.distance(w, ck.translate(w, 0.21, 0.4), ck.translate(w, -0.13, 0.4)) - ck.distance(w, 0.21, -0.13))
+        for w in (1, 0, -1))
+
+
+def _orbit_drift() -> float:
     drifts = []
     for plane in ("euclid", "galilei", "minkowski"):
         ref = ck.plane_invariant(plane, 0.8, 0.3)
         for _, x0, x1 in ck.orbit_sample(plane, (0.8, 0.3), np.linspace(0, 1.0, 7)):
             drifts.append(abs(ck.plane_invariant(plane, x0, x1) - ref))
-    out.append(_entry("ck.orbit-invariant", s, worst_residual(drifts), 1e-10))
-    return out
+    return worst_residual(drifts)
 
 
-def _suite_frt(sig: ParameterSignature, v: complex) -> Suite:
-    s, vs = str(sig), str(v)
-
-    def rank() -> dict:
-        r = frtmod.rtt_rank(sig, v)
-        return _entry("frt.rank", s, float(abs(r - frtmod.FROZEN_QUOTIENT_RANK[s])), 0.5, v=vs, rank=r)
-
-    def confluence() -> dict:
-        conf = fa.confluence_check(frtmod.reduction_system(sig, v))
-        return _entry("frt.confluence", s, conf["max_discrepancy"], 1e-9, v=vs)
-
-    return {
-        "frt.qybe": lambda: _entry("frt.qybe", s, frtmod.qybe_check(frtmod.rmatrix3(sig, v)), 1e-10, v=vs),
-        "frt.confluence": confluence,
-        "frt.rank": rank,
-        "frt.counit": lambda: _entry("frt.counit", s, frtmod.counit_residual(sig, v), 1e-12, v=vs),
-        "frt.antipode": lambda: _entry("frt.antipode", s, frtmod.antipode_check(sig, v)["residual"], 1e-9, v=vs),
-        "frt.coproduct": lambda: _entry(
-            "frt.coproduct", s, frtmod.coproduct_compatibility(sig, v)["residual"], 1e-9, v=vs),
-        "frt.contraction": lambda: _entry(
-            "frt.contraction", s, frtmod.verify_contraction_transform(sig, v)["residual"], 1e-9, v=vs),
-    }
+def _rank(x: _Inputs) -> dict:
+    r = frtmod.rtt_rank(x.sig, x.v)
+    return {"residual": float(abs(r - frtmod.FROZEN_QUOTIENT_RANK[str(x.sig)])), "rank": r, "v": x.vs}
 
 
-def _suite_dual(sig: ParameterSignature, v: complex, trunc: int) -> Suite:
-    s, vs = str(sig), str(v)
-    return {
-        "dual.pairing": lambda: _entry(
-            "dual.pairing", s, dualmod.verify_pairing_table(sig, v)["residual"], 1e-10, v=vs),
-        "dual.lrel": lambda: _entry("dual.lrel", s, dualmod.verify_L_relations(sig, v)["residual"], 1e-9, v=vs),
-        "dual.commutators": lambda: _entry(
-            "dual.commutators", s, dualmod.verify_dual_commutators(sig, v)["residual"], 1e-9, v=vs),
-        "dual.sow-hopf": lambda: _entry(
-            "dual.sow-hopf", s, dualmod.verify_sow_hopf(sig, dw=trunc, dx=trunc)["residual"], 1e-9,
-            truncation=trunc),
-        "dual.iso": lambda: _entry(
-            "dual.iso", s, dualmod.verify_duality_isomorphism(sig, dw=trunc)["residual"], 1e-8,
-            truncation=trunc),
-    }
+# check id -> (suite, tolerance, compute).  `compute(inputs)` returns a bare
+# residual, or a dict of report fields with "residual"; either passes when the
+# residual is <= the tolerance.  A row without a tolerance returns a library
+# report through `_judged`, and that report's own "pass" decides.  Rows look
+# library functions up through their module when they run, so that the span
+# tracer of perfbench/tracer.py, which swaps module attributes, sees each call.
+CHECKS: dict[str, tuple[str, float | None, Callable[[_Inputs], float | dict]]] = {
+    "pim.exp-log": ("pimenov", 1e-12, lambda x: (pim_apply(KERNELS["log"], x.lift("exp")) - x.d3).max_abs()),
+    "pim.trig-identity": ("pimenov", 1e-12, lambda x: (x.lift("sin") ** 2 + x.lift("cos") ** 2 - 1).max_abs()),
+    "pim.hyperbolic-identity": (
+        "pimenov", 1e-12, lambda x: (x.lift("cosh") ** 2 - x.lift("sinh") ** 2 - 1).max_abs()),
+    "pim.inverse": ("pimenov", 1e-12, lambda x: (x.d3 * x.d3.inv() - 1).max_abs()),
+    "ck.orthogonality": ("classical", 1e-10, lambda x: ck.verify_j_orthogonality(x.group)),
+    "ck.determinant": ("classical", 1e-10, lambda x: (ck.ck_det(x.group) - 1).max_abs()),
+    "ck.special-shape": ("classical", 1e-10, lambda x: ck.special_shape_residual(x.group)),
+    "ck.symplectic": (
+        "classical", 1e-10, lambda x: ck.symplectic_orthogonality_residual(ck.to_symplectic(x.group))),
+    "ck.translation-distance": ("classical", 1e-12, lambda x: _translation_drift()),
+    "ck.contraction-ratio": ("classical", 0.05, lambda x: abs(
+        ck.contraction_limit_demo(0.3, 1.0, 0.5, [4e-3, 2e-3, 1e-3])["steps"][-1]["ratio"] - 0.25)),
+    "ck.orbit-invariant": ("classical", 1e-10, lambda x: _orbit_drift()),
+    "frt.qybe": ("frt", 1e-10, lambda x: {
+        "residual": frtmod.qybe_check(frtmod.rmatrix3(x.sig, x.v)), "v": x.vs}),
+    "frt.confluence": ("frt", 1e-9, lambda x: {
+        "residual": fa.confluence_check(frtmod.reduction_system(x.sig, x.v))["max_discrepancy"], "v": x.vs}),
+    "frt.rank": ("frt", 0.5, _rank),
+    "frt.counit": ("frt", 1e-12, lambda x: {"residual": frtmod.counit_residual(x.sig, x.v), "v": x.vs}),
+    "frt.antipode": ("frt", None, lambda x: _judged(frtmod.antipode_check(x.sig, x.v), v=x.vs)),
+    "frt.coproduct": ("frt", None, lambda x: _judged(frtmod.coproduct_compatibility(x.sig, x.v), v=x.vs)),
+    "frt.contraction": (
+        "frt", None, lambda x: _judged(frtmod.verify_contraction_transform(x.sig, x.v), v=x.vs)),
+    "dual.pairing": ("dual", None, lambda x: _judged(dualmod.verify_pairing_table(x.sig, x.v), v=x.vs)),
+    "dual.lrel": ("dual", None, lambda x: _judged(dualmod.verify_L_relations(x.sig, x.v), v=x.vs)),
+    "dual.commutators": (
+        "dual", None, lambda x: _judged(dualmod.verify_dual_commutators(x.sig, x.v), v=x.vs)),
+    "dual.sow-hopf": ("dual", None, lambda x: _judged(
+        dualmod.verify_sow_hopf(x.sig, dw=x.trunc, dx=x.trunc), truncation=x.trunc)),
+    "dual.iso": ("dual", None, lambda x: _judged(
+        dualmod.verify_duality_isomorphism(x.sig, dw=x.trunc), truncation=x.trunc)),
+}
+SUITES = list(dict.fromkeys(suite for suite, _, _ in CHECKS.values()))
+
+
+def _verify(x: _Inputs, fmt: str, suite: str = "all", check: str = "all") -> None:
+    """Compute and report the checks of `suite` whose id is `check` ("all" matches any)."""
+    reports = []
+    for cid, (in_suite, tol, compute) in CHECKS.items():
+        if suite in ("all", in_suite) and check in ("all", cid):
+            out = compute(x)
+            fields = out if isinstance(out, dict) else {"residual": out}
+            reports.append(_entry(cid, x.signature(in_suite), tol=tol, **fields))
+    _report(reports, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +268,21 @@ class _CkqGroup(click.Group):
 def cli() -> None:
     """Verification workbench for orthogonal Cayley-Klein groups and their
     N=3 quantum deformation."""
+
+
+def _check_command(group: click.Group, suite: str, *options) -> None:
+    """Add `verify <check>|all` to `group`: one check of `suite`, or all of them."""
+    names = [cid.split(".", 1)[1] for cid, (in_suite, _, _) in CHECKS.items() if in_suite == suite]
+
+    def run(check: str, sig_text: str, v_text: str, fmt: str, **extra) -> None:
+        x = _Inputs(sig_text, _parse_v(v_text), **extra)
+        _verify(x, fmt, suite, check if check == "all" else f"{suite}.{check}")
+
+    params = [click.argument("check", type=click.Choice([*names, "all"])),
+              click.option("--j", "sig_text", required=True), v_option, *options, format_option]
+    for param in reversed(params):
+        run = param(run)
+    group.command("verify", help=f"Run one (or all) of the {suite} checks.")(run)
 
 
 # -- pim --------------------------------------------------------------------
@@ -326,12 +356,12 @@ def ck_orbit(plane: str, start: str, steps: int, phi_max: float) -> None:
 
 @ck_group.command("verify")
 @click.argument("suite", type=click.Choice(["classical"]))
-@click.option("--n", "size", type=int, default=4, show_default=True)
+@click.option("--n", "size", type=click.IntRange(2, ck.DET_SIZE_CAP), default=4, show_default=True)
 @click.option("--j", "sig_text", default="1", show_default=True)
 @format_option
 def ck_verify(suite: str, size: int, sig_text: str, fmt: str) -> None:
     """Run the classical-group property suite."""
-    _report(_suite_classical(sig_text, size, _seed({})), fmt)
+    _verify(_Inputs(sig_text, seed=_seed({}), size=size), fmt, suite)
 
 
 # -- frt --------------------------------------------------------------------
@@ -363,18 +393,7 @@ def frt_relations(sig_text: str, v_text: str) -> None:
     click.echo(frtmod.relations_json_str(rs))
 
 
-@frt_group.command("verify")
-@click.argument(
-    "check", type=click.Choice(["qybe", "confluence", "antipode", "coproduct", "contraction", "all"])
-)
-@click.option("--j", "sig_text", required=True)
-@click.option("--v", "v_text", default="0.37", show_default=True)
-@format_option
-def frt_verify(check: str, sig_text: str, v_text: str, fmt: str) -> None:
-    """Run one (or all) of the quantum-group checks."""
-    sig = _quantum_sig(sig_text)
-    suite = _suite_frt(sig, _parse_v(v_text))
-    _report(_run(suite, check if check == "all" else f"frt.{check}"), fmt)
+_check_command(frt_group, "frt")
 
 
 # -- dual -------------------------------------------------------------------
@@ -385,31 +404,17 @@ def dual_group() -> None:
     """Dual quantum algebra of the N=3 deformation."""
 
 
-@dual_group.command("verify")
-@click.argument(
-    "check", type=click.Choice(["pairing", "lrel", "commutators", "sow-hopf", "iso", "all"])
-)
-@click.option("--j", "sig_text", required=True)
-@click.option("--v", "v_text", default="0.37", show_default=True)
-@click.option("--trunc", type=int, default=8, show_default=True)
-@format_option
-def dual_verify(check: str, sig_text: str, v_text: str, trunc: int, fmt: str) -> None:
-    """Run one (or all) of the dual-side checks."""
-    sig = _quantum_sig(sig_text)
-    suite = _suite_dual(sig, _parse_v(v_text), trunc)
-    _report(_run(suite, check if check == "all" else f"dual.{check}"), fmt)
+_check_command(dual_group, "dual", trunc_option)
 
 
 # -- verify all -------------------------------------------------------------
 
 
 @cli.command("verify")
-@click.argument(
-    "suite", type=click.Choice(["pimenov", "classical", "frt", "dual", "all"])
-)
+@click.argument("suite", type=click.Choice([*SUITES, "all"]))
 @click.option("--j", "sig_text", default="1,1", show_default=True)
-@click.option("--v", "v_text", default="0.37", show_default=True)
-@click.option("--trunc", type=int, default=8, show_default=True)
+@v_option
+@trunc_option
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @format_option
 @click.pass_context
@@ -417,29 +422,16 @@ def verify(ctx: click.Context, suite: str, sig_text: str, v_text: str, trunc: in
     """Run a verification suite and stream one report line per check."""
     conf = _load_config(config_path)
 
-    def setting(param: str, key: str, value):
-        # flags win; the config only replaces a value left at its default
-        if key in conf and ctx.get_parameter_source(param) is ParameterSource.DEFAULT:
-            return conf[key]
+    def setting(name: str, key: str, value):
+        # flags win; the config only replaces a value left at its default,
+        # and is checked against the flag's type and range
+        if key in conf and ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
+            return next(p for p in ctx.command.params if p.name == name).type_cast_value(ctx, conf[key])
         return value
 
-    sig_text = setting("sig_text", "signature", sig_text)
-    v_text = setting("v_text", "v", v_text)
-    trunc = int(setting("trunc", "trunc", trunc))
-    seed = _seed(conf)
-    v = _parse_v(v_text)
-    reports: list[dict] = []
-    if suite in ("pimenov", "all"):
-        reports += _suite_pimenov(seed)
-    if suite in ("classical", "all"):
-        reports += _suite_classical(sig_text, 4, seed)
-    if suite in ("frt", "dual", "all"):
-        sig = _quantum_sig(sig_text)
-        if suite in ("frt", "all"):
-            reports += _run(_suite_frt(sig, v))
-        if suite in ("dual", "all"):
-            reports += _run(_suite_dual(sig, v, trunc))
-    _report(reports, fmt)
+    v = _parse_v(setting("v_text", "v", v_text))
+    x = _Inputs(setting("sig_text", "signature", sig_text), v, setting("trunc", "trunc", trunc), _seed(conf))
+    _verify(x, fmt, suite)
 
 
 # -- emit -------------------------------------------------------------------

@@ -931,14 +931,6 @@ class SowTensor2:
         )
 
 
-def sow_normalize(x: "SowElement | tuple[SowAlgebra, Sequence[str]]") -> SowElement:
-    """Normal-order a product of generators (or pass an element through)."""
-    if isinstance(x, SowElement):
-        return x
-    alg, names = x
-    return alg.word(names)
-
-
 # ---------------------------------------------------------------------------
 # Hopf-axiom verification for the deformed rotation algebra
 # ---------------------------------------------------------------------------

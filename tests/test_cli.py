@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from ckq import free_algebra, frt
-from ckq.cli import cli
+from ckq.cli import CHECKS, cli
 
 
 @pytest.fixture
@@ -248,3 +248,71 @@ def test_config_file_parse_error(runner, tmp_path):
     res = runner.invoke(cli, ["verify", "classical", "--config", str(conf)])
     assert res.exit_code == 2
     assert "key=value" in res.output
+
+
+# -- option ranges ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", ["1", "7"])
+def test_classical_size_out_of_range_is_usage_error(runner, size):
+    res = runner.invoke(cli, ["ck", "verify", "classical", "--n", size])
+    assert res.exit_code == 2, res.output
+    assert "not in the range 2<=x<=6" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["dual", "verify", "iso", "--j", "1,1", "--trunc", "-1"],
+    ["verify", "dual", "--trunc", "-1"],
+])
+def test_negative_truncation_is_usage_error(runner, args):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert "not in the range x>=0" in res.output
+
+
+def test_negative_truncation_from_config_is_usage_error(runner, tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("trunc = -1\n")
+    res = runner.invoke(cli, ["verify", "dual", "--config", str(conf)])
+    assert res.exit_code == 2, res.output
+    assert "not in the range x>=0" in res.output
+
+
+# -- the check table ------------------------------------------------------------
+
+
+def test_library_verdict_decides(runner, monkeypatch):
+    # a zero residual with failed rank conditions must not pass
+    monkeypatch.setattr(frt, "verify_contraction_transform", lambda sig, v: {"residual": 0.0, "pass": False})
+    res = runner.invoke(cli, ["frt", "verify", "contraction", "--j", "1,1"])
+    assert res.exit_code == 1, res.output
+    (report,) = [json.loads(ln) for ln in lines_of(res)]
+    assert report["check"] == "frt.contraction" and report["pass"] is False
+
+
+def test_frt_verify_rank_and_counit(runner):
+    res = runner.invoke(cli, ["frt", "verify", "rank", "--j", "n,n"])
+    assert res.exit_code == 0, res.output
+    (report,) = [json.loads(ln) for ln in lines_of(res)]
+    assert report["check"] == "frt.rank" and report["pass"] and report["rank"] == 29
+    res = runner.invoke(cli, ["frt", "verify", "counit", "--j", "1,n"])
+    assert res.exit_code == 0, res.output
+    (report,) = [json.loads(ln) for ln in lines_of(res)]
+    assert report["check"] == "frt.counit" and report["pass"]
+
+
+@pytest.fixture(scope="module")
+def verify_all_ids():
+    res = CliRunner().invoke(cli, ["verify", "all", "--j", "n,n"])
+    assert res.exit_code == 0, res.output
+    return [json.loads(ln)["check"] for ln in lines_of(res)]
+
+
+@pytest.mark.parametrize("cid", sorted(CHECKS))
+def test_every_check_reaches_every_command(runner, verify_all_ids, cid):
+    assert verify_all_ids.count(cid) == 1
+    suite, name = CHECKS[cid][0], cid.split(".", 1)[1]
+    if suite in ("frt", "dual"):
+        res = runner.invoke(cli, [suite, "verify", name, "--j", "n,n"])
+        assert res.exit_code == 0, res.output
+        assert [json.loads(ln)["check"] for ln in lines_of(res)] == [cid]
