@@ -65,14 +65,6 @@ class CKVector:
     sig: ParameterSignature
     basis: str = CARTESIAN
 
-    @classmethod
-    def from_reals(cls, sig: ParameterSignature, coords: Sequence[Scalar]) -> "CKVector":
-        """Scaled Cartesian coordinates: component k is J_{1,k} * x_k."""
-        if len(coords) != sig.dim:
-            raise ValueError(f"expected {sig.dim} coordinates")
-        comps = [sig.jfactor(1, k + 1) * complex(x) for k, x in enumerate(coords)]
-        return cls(comps, sig, CARTESIAN)
-
     @property
     def size(self) -> int:
         return len(self.components)

@@ -35,6 +35,7 @@ from .pimenov import (
 )
 
 DEFAULT_SEED = 20260824
+CONFIG_KEYS = ("signature", "v", "trunc", "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,10 @@ def _load_config(path: str | None) -> dict:
                         f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
                     )
                 key, val = (part.strip() for part in line.split("=", 1))
+                if key not in CONFIG_KEYS:
+                    raise click.UsageError(
+                        f"{path}:{lineno}: unknown key {key!r}; known keys: {', '.join(CONFIG_KEYS)}"
+                    )
                 conf[key] = val
     except OSError as exc:
         raise click.UsageError(f"cannot read config {path}: {exc}")
@@ -93,10 +98,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _seed(conf: dict) -> int:
-    env = os.environ.get("CKQW_SEED")
-    if env is not None:
-        return int(env)
-    return int(conf.get("seed", DEFAULT_SEED))
+    """The CKQW_SEED environment variable, else the config key, else DEFAULT_SEED."""
+    for source, text in (("environment variable CKQW_SEED", os.environ.get("CKQW_SEED")),
+                         ("config key 'seed'", conf.get("seed"))):
+        if text is not None:
+            try:
+                return int(text)
+            except ValueError:
+                raise click.UsageError(f"{source} must be an integer, got {text!r}")
+    return DEFAULT_SEED
 
 
 def _report(reports: list[dict], fmt: str) -> None:
@@ -335,7 +345,7 @@ def ck_rotate(size: int, sig_text: str, plane: str, phi: float, fmt: str) -> Non
         A = ck.elementary_rotation(sig, mu, nu, phi)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _print_dmatrix(A.mat, fmt)
+    _echo_lines(_dmatrix_lines(A.mat, fmt))
 
 
 @ck_group.command("orbit")
@@ -345,13 +355,7 @@ def ck_rotate(size: int, sig_text: str, plane: str, phi: float, fmt: str) -> Non
 @click.option("--phi-max", type=float, default=1.0, show_default=True)
 def ck_orbit(plane: str, start: str, steps: int, phi_max: float) -> None:
     """Emit CSV points phi,x0,x1 along a one-parameter orbit."""
-    try:
-        x0, x1 = (float(p) for p in start.split(","))
-    except ValueError:
-        raise click.UsageError(f"cannot parse start point {start!r}")
-    click.echo("phi,x0,x1")
-    for phi, a, b in ck.orbit_sample(plane, (x0, x1), np.linspace(0.0, phi_max, steps)):
-        click.echo(f"{phi:.12g},{a:.12g},{b:.12g}")
+    _echo_lines(_orbit_lines(plane, start, steps, phi_max))
 
 
 @ck_group.command("verify")
@@ -378,9 +382,7 @@ def frt_group() -> None:
 @format_option
 def frt_rmatrix(sig_text: str, v_text: str, fmt: str) -> None:
     """Print the 9x9 exchange matrix."""
-    sig = _quantum_sig(sig_text)
-    R = frtmod.rmatrix3(sig, _parse_v(v_text))
-    _print_dmatrix(R.mat, fmt)
+    _echo_lines(_rmatrix_lines(sig_text, v_text, fmt))
 
 
 @frt_group.command("relations")
@@ -388,9 +390,7 @@ def frt_rmatrix(sig_text: str, v_text: str, fmt: str) -> None:
 @click.option("--v", "v_text", required=True)
 def frt_relations(sig_text: str, v_text: str) -> None:
     """Emit the quadratic defining relations as JSON."""
-    sig = _quantum_sig(sig_text)
-    rs = frtmod.full_relations(sig, _parse_v(v_text))
-    click.echo(frtmod.relations_json_str(rs))
+    _echo_lines(_relations_lines(sig_text, v_text))
 
 
 _check_command(frt_group, "frt")
@@ -448,50 +448,19 @@ def verify(ctx: click.Context, suite: str, sig_text: str, v_text: str, trunc: in
 @click.option("--out", "out_path", type=click.Path(), default=None, help="write to file instead of stdout")
 def emit(what: str, sig_text: str, v_text: str, plane: str, start: str, steps: int, fmt: str, out_path: str | None) -> None:
     """Reproduce one of the reference tables or data sets."""
-    lines: list[str] = []
     if what == "rmatrix":
-        sig = _quantum_sig(sig_text)
-        R = frtmod.rmatrix3(sig, _parse_v(v_text))
-        lines = _dmatrix_lines(R.mat, fmt)
+        lines = _rmatrix_lines(sig_text, v_text, fmt)
     elif what == "relations":
-        sig = _quantum_sig(sig_text)
-        rs = frtmod.full_relations(sig, _parse_v(v_text))
-        lines = [frtmod.relations_json_str(rs)]
+        lines = _relations_lines(sig_text, v_text)
     elif what == "orbit":
-        try:
-            x0, x1 = (float(p) for p in start.split(","))
-        except ValueError:
-            raise click.UsageError(f"cannot parse start point {start!r}")
-        lines = ["phi,x0,x1"] + [
-            f"{phi:.12g},{a:.12g},{b:.12g}"
-            for phi, a, b in ck.orbit_sample(plane, (x0, x1), np.linspace(0.0, 1.0, steps))
-        ]
-    else:  # pairing-table
-        sig = _quantum_sig(sig_text)
-        table = dualmod.pairing_table(sig, _parse_v(v_text))
-        if fmt == "json":
-            obj = {}
-            for (atom, comp), (c, e1, e2, kern) in sorted(table.items()):
-                val = frtmod.mono_eval(sig, (c * kern, e1, e2))
-                obj[f"{atom}({comp})"] = format_element(val)
-            lines = [json.dumps(obj, sort_keys=True)]
-        else:
-            for (atom, comp), (c, e1, e2, kern) in sorted(table.items()):
-                val = frtmod.mono_eval(sig, (c * kern, e1, e2))
-                lines.append(f"{atom:<7} {comp:<5} {format_element(val)}")
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise click.ClickException(f"cannot write {out_path}: {exc}")
+        lines = _orbit_lines(plane, start, steps, 1.0)
     else:
-        click.echo(text, nl=False)
+        lines = _pairing_lines(sig_text, v_text, fmt)
+    _echo_lines(lines, out_path)
 
 
 # ---------------------------------------------------------------------------
-# printing helpers
+# data sets: one line builder each, printed by its own command and by emit
 # ---------------------------------------------------------------------------
 
 
@@ -503,9 +472,48 @@ def _dmatrix_lines(M: DMatrix, fmt: str) -> list[str]:
     return ["  ".join(f"{e:<{width}}" for e in row).rstrip() for row in ents]
 
 
-def _print_dmatrix(M: DMatrix, fmt: str) -> None:
-    for line in _dmatrix_lines(M, fmt):
-        click.echo(line)
+def _rmatrix_lines(sig_text: str, v_text: str, fmt: str) -> list[str]:
+    return _dmatrix_lines(frtmod.rmatrix3(_quantum_sig(sig_text), _parse_v(v_text)).mat, fmt)
+
+
+def _relations_lines(sig_text: str, v_text: str) -> list[str]:
+    return [frtmod.relations_json_str(frtmod.full_relations(_quantum_sig(sig_text), _parse_v(v_text)))]
+
+
+def _orbit_lines(plane: str, start: str, steps: int, phi_max: float) -> list[str]:
+    try:
+        x0, x1 = (float(p) for p in start.split(","))
+    except ValueError:
+        raise click.UsageError(f"cannot parse start point {start!r}")
+    return ["phi,x0,x1"] + [
+        f"{phi:.12g},{a:.12g},{b:.12g}"
+        for phi, a, b in ck.orbit_sample(plane, (x0, x1), np.linspace(0.0, phi_max, steps))
+    ]
+
+
+def _pairing_lines(sig_text: str, v_text: str, fmt: str) -> list[str]:
+    sig = _quantum_sig(sig_text)
+    table = dualmod.pairing_table(sig, _parse_v(v_text))
+    values = {
+        entry: format_element(frtmod.mono_eval(sig, (c * kern, e1, e2)))
+        for entry, (c, e1, e2, kern) in sorted(table.items())
+    }
+    if fmt == "json":
+        return [json.dumps({f"{atom}({comp})": val for (atom, comp), val in values.items()}, sort_keys=True)]
+    return [f"{atom:<7} {comp:<5} {val}" for (atom, comp), val in values.items()]
+
+
+def _echo_lines(lines: list[str], out_path: str | None = None) -> None:
+    """Print the lines, or write them to out_path."""
+    text = "\n".join(lines) + "\n"
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {out_path}: {exc}")
+    else:
+        click.echo(text, nl=False)
 
 
 def main() -> None:

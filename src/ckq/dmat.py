@@ -121,8 +121,5 @@ class DMatrix:
     def max_abs(self) -> float:
         return worst_residual(np.abs(b).max() for b in self.blocks.values())
 
-    def isclose(self, other: "DMatrix", tol: float = 1e-9) -> bool:
-        return (self - other).max_abs() <= tol
-
     def __repr__(self) -> str:
         return f"DMatrix(n={self.n}, size={self.size}, masks={sorted(self.blocks)})"

@@ -669,17 +669,18 @@ class SowAlgebra:
         arr[0] = 1.0
         return {key: arr}
 
-    def _combine(
-        self, state: dict[Key, np.ndarray], push, factor: np.ndarray | None = None
-    ) -> dict[Key, np.ndarray]:
+    def _combine(self, state: dict[Key, np.ndarray], push) -> dict[Key, np.ndarray]:
         out: dict[Key, np.ndarray] = {}
         for key, coeff in state.items():
             for k2, c2 in push(key).items():
                 add = ser_mul(coeff, c2, self.dw)
-                if factor is not None:
-                    add = ser_mul(add, factor, self.dw)
                 out[k2] = out[k2] + add if k2 in out else add
         return {k: c for k, c in out.items() if c.any()}
+
+    @staticmethod
+    def _times_x12(state: dict[Key, np.ndarray]) -> dict[Key, np.ndarray]:
+        """A normal-ordered element times X12: only the X12 exponent rises."""
+        return {(a, m, b + 1): c for (a, m, b), c in state.items()}
 
     def _push01(self, key: Key) -> dict[Key, np.ndarray]:
         """Normal ordering of (monomial key) * X01."""
@@ -691,10 +692,7 @@ class SowAlgebra:
             out = self._unit_map((a + 1, 0, 0))
         elif b > 0:
             # ... X12^b X01 = (... X12^{b-1} X01) X12 + ... X12^{b-1} sinh(w X02)/w
-            out: dict[Key, np.ndarray] = {}
-            for k2, c in self._push01((a, m, b - 1)).items():
-                k3 = (k2[0], k2[1], k2[2] + 1)
-                out[k3] = out[k3] + c if k3 in out else c.copy()
+            out = self._times_x12(self._push01((a, m, b - 1)))
             for p, arr in self.sinh_over_w():
                 state = self._unit_map((a, m, b - 1))
                 for _ in range(p):
@@ -733,10 +731,7 @@ class SowAlgebra:
                 out = self._unit_map((a, m + 1, 0))
         else:
             # ... X12^b X02 = (... X12^{b-1} X02) X12 - j2^2 ... X12^{b-1} X01
-            out = {}
-            for k2, c in self._push02((a, m, b - 1)).items():
-                k3 = (k2[0], k2[1], k2[2] + 1)
-                out[k3] = out[k3] + c if k3 in out else c.copy()
+            out = self._times_x12(self._push02((a, m, b - 1)))
             if self.j2sq != 0:
                 for k2, c in self._push01((a, m, b - 1)).items():
                     add = c * (-self.j2sq)
@@ -854,6 +849,12 @@ class SowAlgebra:
 
 
 class SowElement:
+    """Normal-ordered element: monomial key -> D_n[[w]] coefficient.
+
+    The arithmetic returns `type(self)`, so the tensor square reuses it: a
+    subclass only says how two keys multiply and how a key's X02 degree is read.
+    """
+
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg: SowAlgebra, terms: Mapping[Key, DSeries]):
@@ -864,71 +865,51 @@ class SowElement:
         out = dict(self.terms)
         for k, ds in other.terms.items():
             out[k] = out[k] + ds if k in out else ds
-        return SowElement(self.alg, out)
+        return type(self)(self.alg, out)
 
     def __sub__(self, other: "SowElement") -> "SowElement":
         return self + other * (-1.0)
 
     def __mul__(self, other) -> "SowElement":
-        alg = self.alg
-        if isinstance(other, SowElement):
-
-            def expand(k1: Key, k2: Key):
-                return ((k3, (arr,)) for k3, arr in alg.mono_mul(k1, k2).items())
-
-            return SowElement(alg, _bulk_product(alg, self.terms, other.terms, expand))
+        if type(other) is type(self):
+            return type(self)(self.alg, _bulk_product(self.alg, self.terms, other.terms, self._expand))
         # scalar, w-series or D_n-series coefficient
-        return SowElement(alg, {k: ds * other for k, ds in self.terms.items()})
+        return type(self)(self.alg, {k: ds * other for k, ds in self.terms.items()})
 
     __rmul__ = __mul__
+
+    def _expand(self, k1: Key, k2: Key):
+        """The (key, w-series factors) contributions of the monomial product k1 * k2."""
+        return ((k3, (arr,)) for k3, arr in self.alg.mono_mul(k1, k2).items())
+
+    @staticmethod
+    def _x02_degree(key: Key) -> int:
+        return key[1]
 
     def max_abs(self, w_cap: int | None = None, x_cap: int | None = None) -> float:
         return worst_residual(
             ds.max_abs(w_cap)
-            for (a, m, b), ds in self.terms.items()
-            if x_cap is None or m <= x_cap
+            for key, ds in self.terms.items()
+            if x_cap is None or self._x02_degree(key) <= x_cap
         )
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
 
 
-class SowTensor2:
-    __slots__ = ("alg", "terms")
+class SowTensor2(SowElement):
+    """Element of the tensor square: (left key, right key) -> D_n[[w]] coefficient."""
 
-    def __init__(self, alg: SowAlgebra, terms: Mapping[tuple[Key, Key], DSeries]):
-        self.alg = alg
-        self.terms = {k: ds for k, ds in terms.items() if not ds.is_zero()}
+    __slots__ = ()
 
-    def __add__(self, other: "SowTensor2") -> "SowTensor2":
-        out = dict(self.terms)
-        for k, ds in other.terms.items():
-            out[k] = out[k] + ds if k in out else ds
-        return SowTensor2(self.alg, out)
+    def _expand(self, k1: tuple[Key, Key], k2: tuple[Key, Key]):
+        # the left bank's series is applied before the right bank's
+        left, right = self.alg.mono_mul(k1[0], k2[0]), self.alg.mono_mul(k1[1], k2[1])
+        return (((kl, kr), (al, ar)) for kl, al in left.items() for kr, ar in right.items())
 
-    def __sub__(self, other: "SowTensor2") -> "SowTensor2":
-        return self + other * (-1.0)
-
-    def __mul__(self, other) -> "SowTensor2":
-        alg = self.alg
-        if isinstance(other, SowTensor2):
-
-            def expand(k1: tuple[Key, Key], k2: tuple[Key, Key]):
-                # the left bank's series is applied before the right bank's
-                left, right = alg.mono_mul(k1[0], k2[0]), alg.mono_mul(k1[1], k2[1])
-                return (((kl, kr), (al, ar)) for kl, al in left.items() for kr, ar in right.items())
-
-            return SowTensor2(alg, _bulk_product(alg, self.terms, other.terms, expand))
-        return SowTensor2(alg, {k: ds * other for k, ds in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def max_abs(self, w_cap: int | None = None, x_cap: int | None = None) -> float:
-        return worst_residual(
-            ds.max_abs(w_cap)
-            for ((a1, m1, b1), (a2, m2, b2)), ds in self.terms.items()
-            if x_cap is None or max(m1, m2) <= x_cap
-        )
+    @staticmethod
+    def _x02_degree(key: tuple[Key, Key]) -> int:
+        return max(key[0][1], key[1][1])
 
 
 # ---------------------------------------------------------------------------

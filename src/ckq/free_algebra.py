@@ -2,9 +2,10 @@
 
 Elements are complex linear combinations of pairs (tag mask, word), where a
 word is a tuple of generator ids.  Words concatenate under multiplication and
-tag masks combine by the nilpotent rule (overlap kills the term); the
-FreeElement and TensorElement products keep their own loop over (mask, word)
-keys, and every other D_n product goes through `pimenov.tag_product`.
+tag masks combine by the nilpotent rule (overlap kills the term).  The
+tensor square TensorElement inherits FreeElement's arithmetic and replaces
+only its term product, the one plain loop over disjoint masks kept here for
+speed; every other D_n product goes through `pimenov.tag_product`.
 
 Quadratic relation sets are turned into rewrite rules by viewing their
 tag-closure as a plain complex linear space in the (mask, word) basis and
@@ -32,6 +33,7 @@ CLOSURE_DEGREE = 3
 
 Word = tuple[int, ...]
 TermKey = tuple[int, Word]
+TensorKey = tuple[int, Word, Word]
 
 
 class InconsistentIdeal(ValueError):
@@ -59,17 +61,24 @@ def term_order_key(mask: int, word: Word) -> tuple:
 
 
 class FreeElement:
-    __slots__ = ("n", "G", "terms")
+    """Complex combination of (mask, word) terms.
 
-    def __init__(self, n: int, G: int, terms: Mapping[TermKey, Scalar] | None = None):
+    The arithmetic returns `type(self)`, so the tensor square reuses it: a
+    subclass only names the words of its unit key and its term product.
+    """
+
+    __slots__ = ("n", "G", "terms")
+    UNIT_WORDS: tuple[Word, ...] = ((),)
+
+    def __init__(self, n: int, G: int, terms: Mapping[TermKey | TensorKey, Scalar] | None = None):
         self.n = n
         self.G = G
-        clean: dict[TermKey, complex] = {}
+        clean: dict[TermKey | TensorKey, complex] = {}
         if terms:
-            for (mask, word), c in terms.items():
+            for k, c in terms.items():
                 c = complex(c)
                 if c != 0:
-                    clean[(mask, tuple(word))] = c
+                    clean[k] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -81,8 +90,8 @@ class FreeElement:
     @classmethod
     def const(cls, n: int, G: int, value: "Scalar | PimenovElement") -> "FreeElement":
         if isinstance(value, PimenovElement):
-            return cls(n, G, {(m, ()): c for m, c in value.coeffs.items()})
-        return cls(n, G, {(0, ()): value})
+            return cls(n, G, {(m, *cls.UNIT_WORDS): c for m, c in value.coeffs.items()})
+        return cls(n, G, {(0, *cls.UNIT_WORDS): value})
 
     @classmethod
     def generator(cls, n: int, G: int, g: int) -> "FreeElement":
@@ -101,10 +110,8 @@ class FreeElement:
         return worst_residual(abs(c) for c in self.terms.values())
 
     def degree(self) -> int:
-        return max((len(w) for (_, w) in self.terms), default=0)
-
-    def leading_term(self) -> TermKey:
-        return max(self.terms, key=lambda k: term_order_key(*k))
+        """The largest total word length of a term."""
+        return max((sum(map(len, k[1:])) for k in self.terms), default=0)
 
     # -- algebra --------------------------------------------------------
 
@@ -117,35 +124,36 @@ class FreeElement:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0j) + c
-        return FreeElement(self.n, self.G, out)
+        return type(self)(self.n, self.G, out)
 
     def __neg__(self) -> "FreeElement":
-        return FreeElement(self.n, self.G, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.n, self.G, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + (-other)
 
     def __mul__(self, other: "FreeElement | Scalar | PimenovElement") -> "FreeElement":
         if isinstance(other, (int, float, complex)):
-            return FreeElement(
-                self.n, self.G, {k: c * other for k, c in self.terms.items()}
-            )
+            return type(self)(self.n, self.G, {k: c * other for k, c in self.terms.items()})
         if isinstance(other, PimenovElement):
-            other = FreeElement.const(self.n, self.G, other)
+            other = self.const(self.n, self.G, other)
         self._check(other)
+        return type(self)(self.n, self.G, self._product(other.terms))
+
+    __rmul__ = __mul__
+
+    def _product(self, other: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
         out: dict[TermKey, complex] = {}
         for (m1, w1), c1 in self.terms.items():
-            for (m2, w2), c2 in other.terms.items():
+            for (m2, w2), c2 in other.items():
                 if m1 & m2:
                     continue
                 k = (m1 | m2, w1 + w2)
                 out[k] = out.get(k, 0j) + c1 * c2
-        return FreeElement(self.n, self.G, out)
-
-    __rmul__ = __mul__
+        return out
 
     def __repr__(self) -> str:
-        return f"FreeElement({len(self.terms)} terms, deg {self.degree()})"
+        return f"{type(self).__name__}({len(self.terms)} terms, deg {self.degree()})"
 
 
 def free_tensor(a: FreeElement, b: FreeElement) -> "TensorElement":
@@ -156,63 +164,21 @@ def free_tensor(a: FreeElement, b: FreeElement) -> "TensorElement":
     return left * right
 
 
-class TensorElement:
+class TensorElement(FreeElement):
     """Element of the tensor square: terms (mask, left word, right word)."""
 
-    __slots__ = ("n", "G", "terms")
+    __slots__ = ()
+    UNIT_WORDS = ((), ())
 
-    def __init__(self, n: int, G: int, terms: Mapping[tuple[int, Word, Word], Scalar] | None = None):
-        self.n = n
-        self.G = G
-        clean: dict[tuple[int, Word, Word], complex] = {}
-        if terms:
-            for (mask, lw, rw), c in terms.items():
-                c = complex(c)
-                if c != 0:
-                    clean[(mask, tuple(lw), tuple(rw))] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n: int, G: int) -> "TensorElement":
-        return cls(n, G)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.terms
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def max_abs(self) -> float:
-        return worst_residual(abs(c) for c in self.terms.values())
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0j) + c
-        return TensorElement(self.n, self.G, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.n, self.G, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __mul__(self, other: "TensorElement | Scalar | PimenovElement") -> "TensorElement":
-        if isinstance(other, (int, float, complex)):
-            return TensorElement(
-                self.n, self.G, {k: c * other for k, c in self.terms.items()}
-            )
-        if isinstance(other, PimenovElement):
-            other = TensorElement(self.n, self.G, {(m, (), ()): c for m, c in other.coeffs.items()})
-        out: dict[tuple[int, Word, Word], complex] = {}
+    def _product(self, other: Mapping[TensorKey, complex]) -> dict[TensorKey, complex]:
+        out: dict[TensorKey, complex] = {}
         for (m1, l1, r1), c1 in self.terms.items():
-            for (m2, l2, r2), c2 in other.terms.items():
+            for (m2, l2, r2), c2 in other.items():
                 if m1 & m2:
                     continue
                 k = (m1 | m2, l1 + l2, r1 + r2)
                 out[k] = out.get(k, 0j) + c1 * c2
-        return TensorElement(self.n, self.G, out)
-
-    __rmul__ = __mul__
+        return out
 
 
 @dataclass(frozen=True)
@@ -385,10 +351,10 @@ class ReductionSystem:
         raise NonTerminatingRules rather than being returned as if normal.
         """
         nf = self._nf
-        done: dict[tuple[int, Word, Word], complex] = {}
+        done: dict[TensorKey, complex] = {}
         todo = x.terms
         for _ in range(2 * CLOSURE_DEGREE):
-            nxt: dict[tuple[int, Word, Word], complex] = {}
+            nxt: dict[TensorKey, complex] = {}
             for (mask, lw, rw), c in todo.items():
                 for (m1, lw1), c1 in nf(mask, lw, "left").items():
                     for (m2, rw1), c2 in nf(m1, rw, "left").items():

@@ -422,7 +422,7 @@ def coproduct(sig: ParameterSignature, x: FreeElement) -> TensorElement:
     n = x.n
     table = coproduct_table(sig)
     out = TensorElement.zero(n, NGEN)
-    unit = TensorElement(n, NGEN, {(0, (), ()): 1.0})
+    unit = TensorElement.const(n, NGEN, 1.0)
     for (mask, word), c in x.terms.items():
         acc = unit
         for g in word:

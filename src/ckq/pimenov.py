@@ -124,10 +124,6 @@ class PimenovElement:
     def scalar_part(self) -> complex:
         return self.coeffs.get(0, 0j)
 
-    @property
-    def is_invertible(self) -> bool:
-        return self.coeffs.get(0, 0j) != 0
-
     def nil_part(self) -> "PimenovElement":
         return PimenovElement(
             self.n, {m: c for m, c in self.coeffs.items() if m != 0}

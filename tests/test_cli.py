@@ -194,6 +194,21 @@ def test_dual_verify_truncation_flag(runner):
 # -- emit -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("emit_args, own_args", [
+    (["rmatrix", "--j", "1,n", "--format", "json"], ["frt", "rmatrix", "--j", "1,n", "--v", "0.37", "--format", "json"]),
+    (["rmatrix", "--j", "n,1", "--format", "table"], ["frt", "rmatrix", "--j", "n,1", "--v", "0.37", "--format", "table"]),
+    (["relations", "--j", "n,n"], ["frt", "relations", "--j", "n,n", "--v", "0.37"]),
+    (["orbit", "--plane", "galilei", "--from", "0.8,0.3", "--steps", "5"],
+     ["ck", "orbit", "--plane", "galilei", "--from", "0.8,0.3", "--steps", "5"]),
+])
+def test_emit_prints_what_the_data_set_command_prints(runner, emit_args, own_args):
+    emitted = runner.invoke(cli, ["emit", *emit_args])
+    own = runner.invoke(cli, own_args)
+    assert emitted.exit_code == own.exit_code == 0, (emitted.output, own.output)
+    assert emitted.output == own.output
+
+
+
 def test_emit_contracted_rmatrix_structure(runner):
     res = runner.invoke(cli, ["emit", "rmatrix", "--j", "n,1", "--v", "1", "--format", "table"])
     assert res.exit_code == 0
@@ -248,6 +263,30 @@ def test_config_file_parse_error(runner, tmp_path):
     res = runner.invoke(cli, ["verify", "classical", "--config", str(conf)])
     assert res.exit_code == 2
     assert "key=value" in res.output
+
+
+def test_unknown_config_key_is_usage_error(runner, tmp_path):
+    # a misspelt key must not silently run the defaults
+    conf = tmp_path / "run.conf"
+    conf.write_text("sigature = n,n\n")
+    res = runner.invoke(cli, ["verify", "classical", "--config", str(conf)])
+    assert res.exit_code == 2, res.output
+    assert "'sigature'" in res.output
+    assert "signature, v, trunc, seed" in res.output
+
+
+def test_non_integer_seed_in_config_is_usage_error(runner, tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = abc\n")
+    res = runner.invoke(cli, ["verify", "pimenov", "--config", str(conf)])
+    assert res.exit_code == 2, res.output
+    assert "config key 'seed'" in res.output and "'abc'" in res.output
+
+
+def test_non_integer_seed_in_environment_is_usage_error(runner):
+    res = runner.invoke(cli, ["ck", "verify", "classical"], env={"CKQW_SEED": "x"})
+    assert res.exit_code == 2, res.output
+    assert "CKQW_SEED" in res.output and "'x'" in res.output
 
 
 # -- option ranges ------------------------------------------------------------

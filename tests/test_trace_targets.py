@@ -8,6 +8,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from ckq.cli import cli
+from ckq.pimenov import ParameterSignature
 
 
 def _load_tracer():
@@ -46,3 +47,31 @@ def test_traced_run_counts_checks_and_library_calls():
     m = tr.metrics()
     assert m["cli.checks_computed"] == m["cli.checks_reported"] == 5
     assert m["frt.qybe.calls"] == 1
+
+
+def test_traced_run_reads_the_memos_of_the_hooked_classes():
+    # the tracer hooks these __init__s and reads these memos after each op
+    from ckq import dual, free_algebra
+
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for cls in (free_algebra.ReductionSystem, dual.SowAlgebra):
+            assert cls.__dict__["__init__"].__perfbench_traced__, cls
+        runner = CliRunner()
+        # a v no other test uses, so the quotient is built inside this op
+        for op_id, args in enumerate((["frt", "verify", "confluence", "--j", "n,n", "--v", "0.4321"],
+                                      ["dual", "verify", "sow-hopf", "--j", "n,n", "--trunc", "2"])):
+            res, gate = tr.run_op(op_id, lambda: runner.invoke(cli, args))
+            assert res.exit_code == 0 and gate is None, res.output
+    finally:
+        tr.uninstall()
+    m = tr.metrics()
+    assert m["free_algebra.nf_memo.entries"] > 0 and m["free_algebra.nf_memo.hit_ratio"] > 0
+    assert m["dual.push_memo.entries"] > 0 and m["dual.mono_memo.hit_ratio"] > 0
+
+    rs = free_algebra.ReductionSystem(1, 1, {})
+    assert set(rs._memo) == {"left", "right"}
+    alg = dual.SowAlgebra(ParameterSignature.parse("n,n"), dw=2, dx=2)
+    assert alg._push01_memo == alg._push02_memo == alg._mono_memo == {}
