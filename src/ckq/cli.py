@@ -137,6 +137,7 @@ format_option = click.option(
 )
 v_option = click.option("--v", "v_text", default="0.37", show_default=True)
 trunc_option = click.option("--trunc", type=click.IntRange(min=0), default=8, show_default=True)
+steps_option = click.option("--steps", type=click.IntRange(min=0), default=8, show_default=True)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ def ck_rotate(size: int, sig_text: str, plane: str, phi: float, fmt: str) -> Non
 @ck_group.command("orbit")
 @click.option("--plane", type=click.Choice(["euclid", "galilei", "minkowski"]), required=True)
 @click.option("--from", "start", default="1,0", show_default=True, help="x0,x1")
-@click.option("--steps", type=int, default=8, show_default=True)
+@steps_option
 @click.option("--phi-max", type=float, default=1.0, show_default=True)
 def ck_orbit(plane: str, start: str, steps: int, phi_max: float) -> None:
     """Emit CSV points phi,x0,x1 along a one-parameter orbit."""
@@ -437,17 +438,23 @@ def verify(ctx: click.Context, suite: str, sig_text: str, v_text: str, trunc: in
 # -- emit -------------------------------------------------------------------
 
 
+EMIT_FORMATS = {"rmatrix": ("table", "json"), "relations": ("json",), "orbit": ("csv",), "pairing-table": ("table", "json")}
+
+
 @cli.command("emit")
-@click.argument("what", type=click.Choice(["rmatrix", "relations", "orbit", "pairing-table"]))
+@click.argument("what", type=click.Choice(list(EMIT_FORMATS)))
 @click.option("--j", "sig_text", default="1,1", show_default=True)
 @click.option("--v", "v_text", default="0.37", show_default=True)
 @click.option("--plane", type=click.Choice(["euclid", "galilei", "minkowski"]), default="euclid")
 @click.option("--from", "start", default="1,0", show_default=True)
-@click.option("--steps", type=int, default=8, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "table", "csv"]), default="table", show_default=True)
+@steps_option
+@click.option("--format", "fmt", type=click.Choice(["json", "table", "csv"]), help="default: the data set's own format")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="write to file instead of stdout")
 def emit(what: str, sig_text: str, v_text: str, plane: str, start: str, steps: int, fmt: str, out_path: str | None) -> None:
     """Reproduce one of the reference tables or data sets."""
+    fmt = fmt or EMIT_FORMATS[what][0]
+    if fmt not in EMIT_FORMATS[what]:
+        raise click.UsageError(f"emit {what} accepts --format {' or '.join(EMIT_FORMATS[what])}, not {fmt}")
     if what == "rmatrix":
         lines = _rmatrix_lines(sig_text, v_text, fmt)
     elif what == "relations":

@@ -11,7 +11,9 @@ the w-series of `dual` multiply through it too.
 The module also provides
 
 * analytic kernels (exp, log, sin, ...) lifted to D_n through their Taylor
-  data at the scalar part,
+  data at the scalar part, walking each tag subset once, only through the
+  set partitions with nonzero blocks, in the order of the full enumeration
+  (a skipped one adds an exact 0j to a sum that is never -0.0: same bits),
 * parameter signatures (the vector of "geometry switches" j_1..j_{N-1},
   each 1, nilpotent, or imaginary) and their running products J_{mu,nu},
 * trigonometry of a single J-factor computed through even power series, so
@@ -226,44 +228,33 @@ def _coerce(value: "PimenovElement | Scalar", n: int) -> PimenovElement:
 # ---------------------------------------------------------------------------
 
 
-def _partitions(mask: int, r: int) -> Iterable[tuple[int, ...]]:
-    """Unordered partitions of the tag set `mask` into r nonempty blocks."""
-    if r == 1:
-        yield (mask,)
-        return
-    low = mask & -mask  # the block containing the lowest tag is canonical
-    rest = mask ^ low
-    # enumerate subsets s of `rest`; the first block is low|s
-    s = rest
-    while True:
-        block = low | s
-        remainder = mask ^ block
-        if _popcount(remainder) >= r - 1:
-            for tail in _partitions(remainder, r - 1):
-                yield (block,) + tail
-        if s == 0:
-            break
-        s = (s - 1) & rest
+def _block_sums(coeffs: Mapping[int, complex], mask: int) -> list[complex]:
+    """[d(K;0), ..., d(K;p)] for the tag set K = `mask` of size p: d(K;r) sums
+    block-coefficient products over the partitions of K into r blocks.
 
+    The block of the lowest remaining tag comes first, drawn from the subsets
+    of the other remaining tags in descending order; the product starts at
+    1.0 + 0j, is carried block by block and skips zero blocks.
+    """
+    sums = [0j] * (_popcount(mask) + 1)
 
-def partition_sum(coeffs: Mapping[int, complex], mask: int, r: int) -> complex:
-    """d(p;r): sum over partitions of `mask` into r blocks of block-coefficient
-    products.  d(p;1) is the coefficient of `mask` itself; d(p;p) is the
-    product of the singleton coefficients."""
-    p = _popcount(mask)
-    if not (1 <= r <= p):
-        raise ValueError(f"block count {r} out of range 1..{p}")
-    total = 0j
-    for blocks in _partitions(mask, r):
-        prod = 1.0 + 0j
-        for b in blocks:
-            c = coeffs.get(b, 0j)
-            if c == 0:
-                prod = 0j
+    def walk(rest: int, r: int, prod: complex) -> None:
+        low = rest & -rest
+        others = rest ^ low
+        s = others
+        while True:
+            c = coeffs.get(low | s, 0j)
+            if c != 0:
+                if s == others:
+                    sums[r + 1] += prod * c
+                else:
+                    walk(others ^ s, r + 1, prod * c)
+            if s == 0:
                 break
-            prod *= c
-        total += prod
-    return total
+            s = (s - 1) & others
+
+    walk(mask, 0, 1.0 + 0j)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -304,21 +295,23 @@ def pim_apply(f: AnalyticKernel, a: PimenovElement) -> PimenovElement:
     """Lift the analytic function f to D_n.
 
     The coefficient of a tag subset K of size p is
-    sum_{r=1..p} f^(r)(a0) * d(p;r), where d(p;r) runs over unordered
+    sum_{r=1..p} f^(r)(a0) * d(K;r), where d(K;r) runs over unordered
     partitions of K into r nonempty blocks; the scalar part is f(a0).
+    `_block_sums` walks K once for all r, only through partitions with nonzero
+    blocks, in the full enumeration's order: a skipped one would add an exact
+    0j to a sum that starts at +0.0 and never turns -0.0, so no bit changes.
     """
     a0 = a.scalar_part
     out: dict[int, complex] = {0: f.deriv(0, a0)}
     derivs: dict[int, complex] = {}
     for mask in a_subsets(a):
-        p = _popcount(mask)
+        sums = _block_sums(a.coeffs, mask)
         total = 0j
-        for r in range(1, p + 1):
+        for r in range(1, len(sums)):
             if r not in derivs:
                 derivs[r] = f.deriv(r, a0)
-            total += derivs[r] * partition_sum(a.coeffs, mask, r)
-        if total != 0:
-            out[mask] = total
+            total += derivs[r] * sums[r]
+        out[mask] = total  # the constructor drops zero coefficients
     return PimenovElement(a.n, out)
 
 

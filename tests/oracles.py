@@ -4,7 +4,9 @@ These deliberately avoid the library's partition-sum lifting code: the
 Grassmann oracle realizes the nilpotent units inside a brute-force exterior
 algebra, the Taylor oracle lifts analytic kernels through an explicit
 truncated series, and the finite-difference oracle recovers lifted
-coefficients from mixed numerical partial derivatives.  The quotient
+coefficients from mixed numerical partial derivatives.  The reference
+partition sum keeps the lifting that walks every set partition of a tag
+set into r blocks, once per block count r, zero blocks included.  The quotient
 oracles keep the plain Gauss-Jordan elimination, which rescans every
 remaining row at every column, the completion residuals generated from
 the whole tag closure instead of from the quadratic rules, and the build
@@ -22,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import product
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from ckq.free_algebra import (
     iota_closure,
     term_order_key,
 )
-from ckq.pimenov import PimenovElement, worst_residual
+from ckq.pimenov import AnalyticKernel, PimenovElement, _popcount, a_subsets, worst_residual
 
 # ---------------------------------------------------------------------------
 # Grassmann (exterior algebra) oracle
@@ -182,6 +185,68 @@ def lift_fd(name: str, a: PimenovElement) -> PimenovElement:
             total += weight * value(tuple(t))
         coeffs[mask] = total
     return PimenovElement(n, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Reference partition sum
+# ---------------------------------------------------------------------------
+
+
+def _partitions(mask: int, r: int) -> Iterable[tuple[int, ...]]:
+    """Unordered partitions of the tag set `mask` into r nonempty blocks."""
+    if r == 1:
+        yield (mask,)
+        return
+    low = mask & -mask  # the block containing the lowest tag is canonical
+    rest = mask ^ low
+    # enumerate subsets s of `rest`; the first block is low|s
+    s = rest
+    while True:
+        block = low | s
+        remainder = mask ^ block
+        if _popcount(remainder) >= r - 1:
+            for tail in _partitions(remainder, r - 1):
+                yield (block,) + tail
+        if s == 0:
+            break
+        s = (s - 1) & rest
+
+
+def partition_sum(coeffs: Mapping[int, complex], mask: int, r: int) -> complex:
+    """d(p;r): sum over partitions of `mask` into r blocks of block-coefficient
+    products.  d(p;1) is the coefficient of `mask` itself; d(p;p) is the
+    product of the singleton coefficients."""
+    p = _popcount(mask)
+    if not (1 <= r <= p):
+        raise ValueError(f"block count {r} out of range 1..{p}")
+    total = 0j
+    for blocks in _partitions(mask, r):
+        prod = 1.0 + 0j
+        for b in blocks:
+            c = coeffs.get(b, 0j)
+            if c == 0:
+                prod = 0j
+                break
+            prod *= c
+        total += prod
+    return total
+
+
+def reference_pim_apply(f: AnalyticKernel, a: PimenovElement) -> PimenovElement:
+    """f lifted to D_n with one full `partition_sum` per (tag subset, r)."""
+    a0 = a.scalar_part
+    out: dict[int, complex] = {0: f.deriv(0, a0)}
+    derivs: dict[int, complex] = {}
+    for mask in a_subsets(a):
+        p = _popcount(mask)
+        total = 0j
+        for r in range(1, p + 1):
+            if r not in derivs:
+                derivs[r] = f.deriv(r, a0)
+            total += derivs[r] * partition_sum(a.coeffs, mask, r)
+        if total != 0:
+            out[mask] = total
+    return PimenovElement(a.n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,26 @@ def test_emit_pairing_table_json(runner):
     assert "l11(t22)" in data
 
 
+@pytest.mark.parametrize("what, fmt", [
+    ("rmatrix", "csv"), ("pairing-table", "csv"), ("relations", "table"), ("relations", "csv"),
+    ("orbit", "json"), ("orbit", "table"),
+])
+def test_emit_rejects_a_format_its_data_set_cannot_produce(runner, what, fmt):
+    res = runner.invoke(cli, ["emit", what, "--format", fmt])
+    assert res.exit_code == 2
+    assert f"emit {what} accepts --format" in res.output and f"not {fmt}" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["ck", "orbit", "--plane", "euclid", "--steps", "-1"],
+    ["emit", "orbit", "--steps", "-1"],
+])
+def test_negative_orbit_steps_is_a_usage_error(runner, args):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2
+    assert "Invalid value for '--steps'" in res.output
+
+
 def test_emit_orbit_to_file(runner, tmp_path):
     out = tmp_path / "orbit.csv"
     res = runner.invoke(

@@ -22,7 +22,7 @@ from ckq.pimenov import (
     worst_residual,
 )
 
-from oracles import grassmann_product, lift_fd, lift_taylor
+from oracles import grassmann_product, lift_fd, lift_taylor, reference_pim_apply
 
 
 def rand_element(rng, n, base=None):
@@ -206,6 +206,27 @@ def test_log_inverts_exp():
     a = rand_element(rng, 3, base=0.8)
     back = pim_apply(KERNELS["log"], pim_apply(KERNELS["exp"], a))
     assert (back - a).max_abs() <= 1e-12
+
+
+def mixed_element(rng, n, density):
+    """A random share of the masks, each holding an exact zero (dropped), a
+    small integer or a Gaussian complex; the scalar part keeps log defined."""
+    coeffs = {0: complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))}
+    for m in range(1, 2**n):
+        if rng.random() < density:
+            coeffs[m] = (0, int(rng.integers(-3, 4)), complex(rng.normal(), rng.normal()))[rng.integers(3)]
+    return PimenovElement(n, coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_lifting_is_bit_identical_to_the_full_partition_sum(name):
+    rng = np.random.default_rng(29)
+    cases = [(n, density) for n in range(8) for density in (0.1, 0.4, 1.0)] + [(8, 1.0)]
+    for n, density in cases:
+        a = mixed_element(rng, n, density)
+        lifted = pim_apply(KERNELS[name], a)
+        reference = reference_pim_apply(KERNELS[name], a)
+        assert lifted.coeffs == reference.coeffs, (n, density, a)
 
 
 # -- signatures and j-factors ----------------------------------------------
