@@ -23,11 +23,9 @@ from .frt import CD_TABLE, GEN_AT, GEN_NAMES, N, canonical_position, cmatrix, fl
 from .pimenov import (
     ParameterSignature,
     PimenovElement,
-    Scalar,
     cosh_j,
     jfactor_square,
     sinhc_j,
-    tag_product,
     tanhc_j,
     worst_residual,
 )
@@ -440,76 +438,6 @@ def ser_sqrt(a: np.ndarray, d: int) -> np.ndarray:
     return s
 
 
-class DSeries:
-    """Truncated power series in w with coefficients in D_n."""
-
-    __slots__ = ("n", "d", "blocks")
-
-    def __init__(self, n: int, d: int, blocks: Mapping[int, np.ndarray] | None = None):
-        self.n = n
-        self.d = d
-        clean: dict[int, np.ndarray] = {}
-        if blocks:
-            for mask, arr in blocks.items():
-                if not (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == (d + 1,)):
-                    arr = np.asarray(arr, dtype=complex)
-                    if len(arr) < d + 1:
-                        arr = np.pad(arr, (0, d + 1 - len(arr)))
-                    arr = arr[: d + 1]
-                if np.count_nonzero(arr):
-                    clean[mask] = arr
-        self.blocks = clean
-
-    @classmethod
-    def const(cls, n: int, d: int, c: Scalar = 1.0) -> "DSeries":
-        arr = np.zeros(d + 1, dtype=complex)
-        arr[0] = c
-        return cls(n, d, {0: arr})
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.blocks  # every kept block has a nonzero entry
-        return all(np.abs(a).max() <= tol for a in self.blocks.values())
-
-    def max_abs(self, w_cap: int | None = None) -> float:
-        cap = self.d if w_cap is None else min(w_cap, self.d)
-        return worst_residual(np.abs(a[: cap + 1]).max() for a in self.blocks.values())
-
-    def __add__(self, other: "DSeries") -> "DSeries":
-        out = {m: a.copy() for m, a in self.blocks.items()}
-        for m, a in other.blocks.items():
-            out[m] = out[m] + a if m in out else a
-        return DSeries(self.n, self.d, out)
-
-    def __neg__(self) -> "DSeries":
-        return DSeries(self.n, self.d, {m: -a for m, a in self.blocks.items()})
-
-    def __sub__(self, other: "DSeries") -> "DSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "DSeries | Scalar | np.ndarray") -> "DSeries":
-        if isinstance(other, (int, float, complex)):
-            return DSeries(self.n, self.d, {m: a * other for m, a in self.blocks.items()})
-        if isinstance(other, np.ndarray):
-            return DSeries(
-                self.n, self.d, {m: ser_mul(a, other, self.d) for m, a in self.blocks.items()}
-            )
-        blocks = tag_product(self.blocks, other.blocks, lambda a, b: ser_mul(a, b, self.d))
-        return DSeries(self.n, self.d, blocks)
-
-    __rmul__ = __mul__
-
-
-def _dense_blocks(series: Sequence[DSeries], masks: Sequence[int], d: int) -> np.ndarray:
-    """The given tag-mask blocks of each series on a dense (len, len(masks), d+1) array."""
-    column = {m: i for i, m in enumerate(masks)}
-    out = np.zeros((len(series), len(masks), d + 1), dtype=complex)
-    for i, ds in enumerate(series):
-        for m, arr in ds.blocks.items():
-            out[i, column[m]] = arr
-    return out
-
-
 def _batch_ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated w-series products of a and b along the last axis, broadcast."""
     d1 = a.shape[-1]
@@ -518,31 +446,6 @@ def _batch_ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in np.flatnonzero(a.reshape(-1, d1).any(axis=0)):
         out[..., k:] += a[..., k, None] * b[..., : d1 - k]
     return out
-
-
-def _pair_products(
-    first: Sequence[DSeries], second: Sequence[DSeries], d: int
-) -> tuple[list[int], np.ndarray]:
-    """Every D_n[[w]] product first[i] * second[j], in one pass per mask pair.
-
-    Returns the tag masks the products can carry and a
-    (len(first) * len(second), len(masks), d+1) array whose row
-    i * len(second) + j holds first[i] * second[j] on those masks.
-    """
-    masks_a = sorted({m for ds in first for m in ds.blocks})
-    masks_b = sorted({m for ds in second for m in ds.blocks})
-    a = _dense_blocks(first, masks_a, d)
-    b = _dense_blocks(second, masks_b, d)
-    products = tag_product(
-        {m: a[:, None, i] for i, m in enumerate(masks_a)},
-        {m: b[None, :, j] for j, m in enumerate(masks_b)},
-        _batch_ser_mul,
-    )
-    masks = sorted(products)
-    out = np.zeros((len(first), len(second), len(masks), d + 1), dtype=complex)
-    for i, m in enumerate(masks):
-        out[:, :, i] = products[m]
-    return masks, out.reshape(len(first) * len(second), len(masks), d + 1)
 
 
 _BULK_ROWS = 1024
@@ -555,7 +458,11 @@ def _bulk_product(alg: "SowAlgebra", x: Mapping, y: Mapping, expand) -> dict:
     is the coefficient product of the pair times each series in turn, and
     the contributions are summed into their keys in the order they come.
     """
-    masks, pairs = _pair_products(list(x.values()), list(y.values()), alg.dw)
+    d1 = alg.dw + 1
+    # explicit shapes: an empty operand still broadcasts
+    a = np.array(list(x.values())).reshape(len(x), d1)
+    b = np.array(list(y.values())).reshape(len(y), d1)
+    pairs = _batch_ser_mul(a[:, None], b[None, :]).reshape(len(x) * len(y), d1)
     keys: dict = {}
     rows, slots, factors = [], [], []
     for p, (kx, ky) in enumerate(product(x, y)):
@@ -563,20 +470,15 @@ def _bulk_product(alg: "SowAlgebra", x: Mapping, y: Mapping, expand) -> dict:
             rows.append(p)
             slots.append(keys.setdefault(key, len(keys)))
             factors.append(series)
-    acc = np.zeros((len(keys), len(masks), alg.dw + 1), dtype=complex)
+    acc = np.zeros((len(keys), d1), dtype=complex)
     # in chunks of rows, which bounds the temporaries; np.add.at adds in row order
     for start in range(0, len(rows), _BULK_ROWS):
         chunk = slice(start, start + _BULK_ROWS)
         contributions = pairs[rows[chunk]]
         for series in zip(*factors[chunk]):
-            contributions = _batch_ser_mul(contributions, np.array(series)[:, None, :])
+            contributions = _batch_ser_mul(contributions, np.array(series))
         np.add.at(acc, slots[chunk], contributions)
-    nonzero = acc.any(axis=2)
-    return {
-        k: DSeries(alg.n, alg.dw, {masks[i]: acc[q, i] for i in np.flatnonzero(nonzero[q])})
-        for k, q in keys.items()
-        if nonzero[q].any()
-    }
+    return {k: acc[q] for k, q in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +501,6 @@ class SowAlgebra:
 
     def __init__(self, sig: ParameterSignature, dw: int = 8, dx: int = 8):
         self.sig = sig
-        self.n = sig.n_slots
         self.dw = dw
         self.dx = dx
         self.j1sq = jfactor_square(sig.slot_value(1))
@@ -610,7 +511,7 @@ class SowAlgebra:
         self._mono_memo: dict[tuple[Key, Key], dict[Key, np.ndarray]] = {}
         self._delta_memo: dict[Key, dict[tuple[Key, Key], np.ndarray]] = {}
         self._antipode_memo: dict[Key, "SowElement"] = {}
-        self.dropped = 0.0  # set to 1.0 once a product loses a term to the X02-degree cap
+        self.dropped = False  # set once a product loses a term to the X02-degree cap
 
     # -- element constructors -------------------------------------------
 
@@ -618,11 +519,11 @@ class SowAlgebra:
         return SowElement(self, {})
 
     def one(self) -> "SowElement":
-        return SowElement(self, {(0, 0, 0): DSeries.const(self.n, self.dw)})
+        return SowElement(self, self._unit_map((0, 0, 0)))
 
     def gen(self, name: str) -> "SowElement":
         key = {"X01": (1, 0, 0), "X02": (0, 1, 0), "X12": (0, 0, 1)}[name]
-        return SowElement(self, {key: DSeries.const(self.n, self.dw)})
+        return SowElement(self, self._unit_map(key))
 
     def exp_x02(self, c: complex) -> "SowElement":
         """e^{c * w * X02} as a normal-ordered element."""
@@ -630,7 +531,7 @@ class SowAlgebra:
         for k in range(min(self.dw, self.dx) + 1):
             arr = np.zeros(self.dw + 1, dtype=complex)
             arr[k] = c**k / math.factorial(k)
-            terms[(0, k, 0)] = DSeries(self.n, self.dw, {0: arr})
+            terms[(0, k, 0)] = arr
         return SowElement(self, terms)
 
     def word(self, names: Sequence[str]) -> "SowElement":
@@ -664,7 +565,8 @@ class SowAlgebra:
 
     # -- normal ordering ---------------------------------------------------
 
-    def _unit_map(self, key: Key) -> dict[Key, np.ndarray]:
+    def _unit_map(self, key):
+        """{key: the w-series 1}, for a monomial or a tensor-square key."""
         arr = np.zeros(self.dw + 1, dtype=complex)
         arr[0] = 1.0
         return {key: arr}
@@ -694,20 +596,13 @@ class SowAlgebra:
             # ... X12^b X01 = (... X12^{b-1} X01) X12 + ... X12^{b-1} sinh(w X02)/w
             out = self._times_x12(self._push01((a, m, b - 1)))
             for p, arr in self.sinh_over_w():
-                state = self._unit_map((a, m, b - 1))
-                for _ in range(p):
-                    state = self._combine(state, self._push02)
-                for k2, c in state.items():
+                for k2, c in self.mono_mul((a, m, b - 1), (0, p, 0)).items():
                     add = ser_mul(c, arr, self.dw)
                     out[k2] = out[k2] + add if k2 in out else add
             out = {k: c for k, c in out.items() if c.any()}
         else:
             # X02^m X01 = (X02^{m-1} X01) X02 - j1^2 X02^{m-1} X12
-            out = {}
-            for k2, c in self._push01((a, m - 1, 0)).items():
-                for k3, c3 in self._push02(k2).items():
-                    add = ser_mul(c, c3, self.dw)
-                    out[k3] = out[k3] + add if k3 in out else add
+            out = self._combine(self._push01((a, m - 1, 0)), self._push02)
             if self.j1sq != 0:
                 k3 = (a, m - 1, 1)
                 add = np.zeros(self.dw + 1, dtype=complex)
@@ -726,7 +621,7 @@ class SowAlgebra:
         if b == 0:
             if m + 1 > self.dx:
                 out: dict[Key, np.ndarray] = {}  # beyond the X02-degree cap
-                self.dropped = max(self.dropped, 1.0)
+                self.dropped = True
             else:
                 out = self._unit_map((a, m + 1, 0))
         else:
@@ -766,22 +661,17 @@ class SowAlgebra:
     def delta_gen(self, name: str) -> "SowTensor2":
         dw, dx = self.dw, self.dx
         if name == "X02":
-            return SowTensor2(
-                self,
-                {
-                    ((0, 1, 0), (0, 0, 0)): DSeries.const(self.n, dw),
-                    ((0, 0, 0), (0, 1, 0)): DSeries.const(self.n, dw),
-                },
-            )
+            x02_one, one_x02 = ((0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0))
+            return SowTensor2(self, {**self._unit_map(x02_one), **self._unit_map(one_x02)})
         gkey = {"X01": (1, 0, 0), "X12": (0, 0, 1)}[name]
-        terms: dict[tuple[Key, Key], DSeries] = {}
+        terms: dict[tuple[Key, Key], np.ndarray] = {}
         for k in range(min(dw, dx) + 1):
             arr_m = np.zeros(dw + 1, dtype=complex)
             arr_m[k] = (-0.5) ** k / math.factorial(k)
             arr_p = np.zeros(dw + 1, dtype=complex)
             arr_p[k] = 0.5**k / math.factorial(k)
-            terms[((0, k, 0), gkey)] = DSeries(self.n, dw, {0: arr_m})
-            terms[(gkey, (0, k, 0))] = DSeries(self.n, dw, {0: arr_p})
+            terms[((0, k, 0), gkey)] = arr_m
+            terms[(gkey, (0, k, 0))] = arr_p
         return SowTensor2(self, terms)
 
     def delta_mono(self, key: Key) -> dict[tuple[Key, Key], np.ndarray]:
@@ -789,25 +679,21 @@ class SowAlgebra:
         if hit is not None:
             return hit
         a, m, b = key
-        acc = SowTensor2(self, {((0, 0, 0), (0, 0, 0)): DSeries.const(self.n, self.dw)})
+        acc = SowTensor2(self, self._unit_map(((0, 0, 0), (0, 0, 0))))
         for _ in range(a):
             acc = acc * self.delta_gen("X01")
         for _ in range(m):
             acc = acc * self.delta_gen("X02")
         for _ in range(b):
             acc = acc * self.delta_gen("X12")
-        out = {
-            k: ds.blocks.get(0, np.zeros(self.dw + 1, dtype=complex))
-            for k, ds in acc.terms.items()
-        }
-        self._delta_memo[key] = out
-        return out
+        self._delta_memo[key] = acc.terms
+        return acc.terms
 
     def delta(self, x: "SowElement") -> "SowTensor2":
-        out: dict[tuple[Key, Key], DSeries] = {}
-        for key, ds in x.terms.items():
+        out: dict[tuple[Key, Key], np.ndarray] = {}
+        for key, c in x.terms.items():
             for pair, arr in self.delta_mono(key).items():
-                add = ds * arr
+                add = ser_mul(c, arr, self.dw)
                 out[pair] = out[pair] + add if pair in out else add
         return SowTensor2(self, out)
 
@@ -843,28 +729,30 @@ class SowAlgebra:
 
     def antipode(self, x: "SowElement") -> "SowElement":
         out = self.zero()
-        for key, ds in x.terms.items():
-            out = out + self.antipode_mono(key) * ds
+        for key, c in x.terms.items():
+            out = out + self.antipode_mono(key) * c
         return out
 
 
 class SowElement:
-    """Normal-ordered element: monomial key -> D_n[[w]] coefficient.
+    """Normal-ordered element: monomial key -> w-series coefficient.
 
-    The arithmetic returns `type(self)`, so the tensor square reuses it: a
-    subclass only says how two keys multiply and how a key's X02 degree is read.
+    A coefficient is a complex array of length dw + 1, the type that
+    mono_mul and the letter pushes return.  The arithmetic returns
+    `type(self)`, so the tensor square reuses it: a subclass only says how
+    two keys multiply and how a key's X02 degree is read.
     """
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: SowAlgebra, terms: Mapping[Key, DSeries]):
+    def __init__(self, alg: SowAlgebra, terms: Mapping[Key, np.ndarray]):
         self.alg = alg
-        self.terms = {k: ds for k, ds in terms.items() if not ds.is_zero()}
+        self.terms = {k: c for k, c in terms.items() if c.any()}
 
     def __add__(self, other: "SowElement") -> "SowElement":
         out = dict(self.terms)
-        for k, ds in other.terms.items():
-            out[k] = out[k] + ds if k in out else ds
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
         return type(self)(self.alg, out)
 
     def __sub__(self, other: "SowElement") -> "SowElement":
@@ -873,8 +761,10 @@ class SowElement:
     def __mul__(self, other) -> "SowElement":
         if type(other) is type(self):
             return type(self)(self.alg, _bulk_product(self.alg, self.terms, other.terms, self._expand))
-        # scalar, w-series or D_n-series coefficient
-        return type(self)(self.alg, {k: ds * other for k, ds in self.terms.items()})
+        if isinstance(other, np.ndarray):  # a w-series
+            dw = self.alg.dw
+            return type(self)(self.alg, {k: ser_mul(c, other, dw) for k, c in self.terms.items()})
+        return type(self)(self.alg, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -887,18 +777,16 @@ class SowElement:
         return key[1]
 
     def max_abs(self, w_cap: int | None = None, x_cap: int | None = None) -> float:
+        cut = None if w_cap is None else w_cap + 1
         return worst_residual(
-            ds.max_abs(w_cap)
-            for key, ds in self.terms.items()
+            np.abs(c[:cut]).max()
+            for key, c in self.terms.items()
             if x_cap is None or self._x02_degree(key) <= x_cap
         )
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
-
 
 class SowTensor2(SowElement):
-    """Element of the tensor square: (left key, right key) -> D_n[[w]] coefficient."""
+    """Element of the tensor square: (left key, right key) -> w-series coefficient."""
 
     __slots__ = ()
 
@@ -931,13 +819,7 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
     # Delta is an algebra map on the three defining relations
     X = {nm: alg.gen(nm) for nm in ("X01", "X02", "X12")}
     D = {nm: alg.delta_gen(nm) for nm in ("X01", "X02", "X12")}
-    sinh_el = SowElement(
-        alg,
-        {
-            (0, p, 0): DSeries(alg.n, alg.dw, {0: arr})
-            for p, arr in alg.sinh_over_w()
-        },
-    )
+    sinh_el = SowElement(alg, {(0, p, 0): arr for p, arr in alg.sinh_over_w()})
     d_sinh = alg.delta(sinh_el)
     pairs = [
         ("delta_rel1", D["X01"] * D["X02"] - D["X02"] * D["X01"] - D["X12"] * alg.j1sq),
@@ -952,9 +834,9 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
         d = D[nm]
         acc1 = alg.zero()
         acc2 = alg.zero()
-        for (k1, k2), ds in d.terms.items():
-            acc1 = acc1 + (alg.antipode_mono(k1) * SowElement(alg, {k2: ds}))
-            acc2 = acc2 + (SowElement(alg, {k1: ds}) * alg.antipode_mono(k2))
+        for (k1, k2), c in d.terms.items():
+            acc1 = acc1 + (alg.antipode_mono(k1) * SowElement(alg, {k2: c}))
+            acc2 = acc2 + (SowElement(alg, {k1: c}) * alg.antipode_mono(k2))
         res[f"antipode_{nm}"] = worst_residual(
             (acc1.max_abs(w_cap=dw, x_cap=dx), acc2.max_abs(w_cap=dw, x_cap=dx))
         )
@@ -962,23 +844,23 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
     # coassociativity on generators
     for nm in ("X01", "X02", "X12"):
         d = D[nm]
-        lhs: dict[tuple[Key, Key, Key], DSeries] = {}
-        rhs: dict[tuple[Key, Key, Key], DSeries] = {}
-        for (k1, k2), ds in d.terms.items():
+        lhs: dict[tuple[Key, Key, Key], np.ndarray] = {}
+        rhs: dict[tuple[Key, Key, Key], np.ndarray] = {}
+        for (k1, k2), c in d.terms.items():
             for (a1, a2), arr in alg.delta_mono(k1).items():
                 key = (a1, a2, k2)
-                add = ds * arr
+                add = ser_mul(c, arr, alg.dw)
                 lhs[key] = lhs[key] + add if key in lhs else add
             for (b1, b2), arr in alg.delta_mono(k2).items():
                 key = (k1, b1, b2)
-                add = ds * arr
+                add = ser_mul(c, arr, alg.dw)
                 rhs[key] = rhs[key] + add if key in rhs else add
         residuals = []
+        zero = np.zeros(alg.dw + 1, dtype=complex)
         for key in set(lhs) | set(rhs):
-            zero = DSeries(alg.n, alg.dw)
             diff = lhs.get(key, zero) - rhs.get(key, zero)
             if max(m for (_, m, _) in ((key[0]), (key[1]), (key[2]))) <= dx:
-                residuals.append(diff.max_abs(dw))
+                residuals.append(np.abs(diff[: dw + 1]).max())
         res[f"coassoc_{nm}"] = worst_residual(residuals)
 
     # S reverses products on all ordered generator pairs
@@ -995,7 +877,7 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
         "checks": res,
         "residual": total,
         "truncation": (dw, dx),
-        "x02_truncated": alg.dropped > 0,
+        "x02_truncated": alg.dropped,
         "pass": total <= 1e-9,
     }
 
@@ -1010,7 +892,13 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
     into their three commutation relations (with the deformation parameters
     identified by v = -i w) and normal-order; the residual vanishes modulo
     truncation.  `x02_truncated` tells whether some product lost terms to
-    the X02-degree cap of the working algebra (dw + 5)."""
+    the X02-degree cap of the working algebra (dw + 5).
+
+    The off-diagonal functionals carry the J-factor J = j1 j2 of the
+    signature, a single monomial with coefficient 1, and are built here
+    without it.  Relations 1 and 2 are linear in J, so their residuals are
+    those of the J-free terms.  The J-quadratic terms of relation 3 take
+    J^2 as the scalar kappa, which is 0 at every contracted signature."""
     alg = SowAlgebra(sig, dw=dw + 2, dx=dw + 5)
     kappa = alg.kappa
     d = alg.dw
@@ -1023,15 +911,13 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
     if d >= 1:
         w_shift[1] = 1.0
 
-    # the scale factor of the off-diagonal functionals: (J monomial) x series
+    # the scale factor of the off-diagonal functionals, J left out
     e_ser = ser_mul(math.sqrt(2.0) * w_shift, ser_sqrt(S1, d), d)
-    J = sig.jfactor(1, N)
-    JE = DSeries(alg.n, d, {m: c * e_ser for m, c in J.coeffs.items()})
 
     half = alg.exp_x02(-0.5)
     l11 = alg.exp_x02(-1.0)
-    l12 = (alg.gen("X01") * half) * JE
-    lt12 = (alg.gen("X12") * half) * JE
+    l12 = (alg.gen("X01") * half) * e_ser
+    lt12 = (alg.gen("X12") * half) * e_ser
 
     # substituted coefficient kernels (v = -i w)
     ch = C1
@@ -1044,10 +930,9 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
     r2 = (l11 * lt12) * ch - lt12 * l11 + (l11 * l12) * (1j * j2sq) * K1
     one = alg.one()
     r3 = (
-        l12 * lt12
-        - lt12 * l12
+        (l12 * lt12 - lt12 * l12) * kappa
         + (one - l11 * l11) * half_s
-        + ((l12 * l12) * j2sq + (lt12 * lt12) * j1sq) * half_t
+        + ((l12 * l12) * j2sq + (lt12 * lt12) * j1sq) * kappa * half_t
     )
     res = {
         "relation1": r1.max_abs(w_cap=dw, x_cap=dw),
@@ -1059,6 +944,6 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
         "relations": res,
         "residual": worst,
         "truncation": dw,
-        "x02_truncated": alg.dropped > 0,
+        "x02_truncated": alg.dropped,
         "pass": worst <= 1e-8,
     }

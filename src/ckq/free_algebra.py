@@ -101,10 +101,8 @@ class FreeElement:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.terms
-        return all(abs(c) <= tol for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def max_abs(self) -> float:
         return worst_residual(abs(c) for c in self.terms.values())
@@ -329,14 +327,12 @@ class ReductionSystem:
                 "their heads, the relations are too close to dependent at this v"
             ) from None
 
-    def reduce(self, x: FreeElement, strategy: str = "left") -> FreeElement:
-        if strategy not in ("left", "right"):
-            raise ValueError("strategy must be 'left' or 'right'")
+    def reduce(self, x: FreeElement) -> FreeElement:
         if x.degree() > CLOSURE_DEGREE:
             raise ValueError(f"degree cap {CLOSURE_DEGREE} exceeded")
         out: dict[TermKey, complex] = {}
         for (mask, word), c in x.terms.items():
-            for k, c2 in self._nf(mask, word, strategy).items():
+            for k, c2 in self._nf(mask, word, "left").items():
                 out[k] = out.get(k, 0j) + c * c2
         return FreeElement(x.n, x.G, out)
 

@@ -191,11 +191,9 @@ def contracted_structure_residual(R: RMatrix) -> float:
     return (R.mat - model).max_abs()
 
 
-def cmatrix(sig: ParameterSignature, v: complex, size: int = N) -> CMatrix:
+def cmatrix(sig: ParameterSignature, v: complex) -> CMatrix:
     """Deformed metric C = C0 * diag(e^{Jv/2}, 1, e^{-Jv/2})."""
     _require_quantum(sig)
-    if size != N:
-        raise ValueError("only the N=3 metric is constructed")
     n = sig.n_slots
     J = sig.jfactor(1, N)
     diag = [
@@ -210,12 +208,12 @@ def cmatrix(sig: ParameterSignature, v: complex, size: int = N) -> CMatrix:
     return CMatrix(DMatrix.from_entries(n, E), sig, v)
 
 
-def flip_matrix(size: int = N) -> np.ndarray:
-    """Permutation P on C^size (x) C^size exchanging the tensor factors."""
-    P = np.zeros((size * size, size * size))
-    for a in range(size):
-        for b in range(size):
-            P[size * a + b, size * b + a] = 1.0
+def flip_matrix() -> np.ndarray:
+    """Permutation P on C^N (x) C^N exchanging the tensor factors."""
+    P = np.zeros((N * N, N * N))
+    for a in range(N):
+        for b in range(N):
+            P[N * a + b, N * b + a] = 1.0
     return P
 
 

@@ -5,8 +5,8 @@ nilpotent tags i1..in (each tag squares to zero, tags commute).  Monomials
 are encoded as bitmasks over the tags, so an element is just a sparse map
 ``bitmask -> complex``.  The nilpotent structure is tracked exactly: a
 product term whose tag sets overlap is dropped outright, never rounded.
-`tag_product` is the one place that rule lives; the matrices of `dmat` and
-the w-series of `dual` multiply through it too.
+`tag_product` is the one place that rule lives; the matrices of `dmat`
+multiply through it too.
 
 The module also provides
 
@@ -131,10 +131,8 @@ class PimenovElement:
             self.n, {m: c for m, c in self.coeffs.items() if m != 0}
         )
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.coeffs
-        return all(abs(c) <= tol for c in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
     def max_abs(self) -> float:
         return worst_residual(abs(c) for c in self.coeffs.values())

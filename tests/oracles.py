@@ -15,7 +15,7 @@ the tags no relation carries.  The series oracle keeps the monomial product
 that replays every letter push from the unit.  The Hopf-check oracles keep
 the coproduct check that maps and reduces every relation whole, with the
 tensor reduction that repeats full passes until one rewrites nothing, and
-the deformed-algebra products that build one DSeries per term pair and per
+the deformed-algebra products that take one ser_mul per term pair and per
 contribution.
 """
 
@@ -403,28 +403,28 @@ def reference_coproduct_compatibility(sig, v):
 
 
 def reference_sow_mul(x, y):
-    """x * y with one DSeries coefficient product per term pair and one per contribution."""
+    """x * y with one ser_mul per term pair and one per contribution."""
     alg = x.alg
     out = {}
     for k1, d1 in x.terms.items():
         for k2, d2 in y.terms.items():
-            coeff = d1 * d2
+            coeff = dual.ser_mul(d1, d2, alg.dw)
             for k3, arr in alg.mono_mul(k1, k2).items():
-                add = coeff * arr
+                add = dual.ser_mul(coeff, arr, alg.dw)
                 out[k3] = out[k3] + add if k3 in out else add
     return dual.SowElement(alg, out)
 
 
 def reference_tensor2_mul(x, y):
-    """Tensor-square product, bank by bank, one DSeries product per contribution."""
+    """Tensor-square product, bank by bank, one ser_mul per contribution."""
     alg = x.alg
     out = {}
     for (l1, r1), d1 in x.terms.items():
         for (l2, r2), d2 in y.terms.items():
-            coeff = d1 * d2
+            coeff = dual.ser_mul(d1, d2, alg.dw)
             for kl, al in alg.mono_mul(l1, l2).items():
-                left = coeff * al
+                left = dual.ser_mul(coeff, al, alg.dw)
                 for kr, ar in alg.mono_mul(r1, r2).items():
-                    add = left * ar
+                    add = dual.ser_mul(left, ar, alg.dw)
                     out[(kl, kr)] = out[(kl, kr)] + add if (kl, kr) in out else add
     return dual.SowTensor2(alg, out)

@@ -113,7 +113,7 @@ def test_normal_ordering_rules():
     assert r1.max_abs() == 0 and r3.max_abs() == 0
     # the mixed rule produces the odd power series
     r2 = alg.word(["X12", "X01"]) - X01 * X12
-    coeff = r2.terms[(0, 1, 0)].blocks[0]
+    coeff = r2.terms[(0, 1, 0)]
     assert abs(coeff[0] - 1.0) <= 1e-15  # leading sinh coefficient
 
 
@@ -131,19 +131,14 @@ def test_mono_mul_equals_letter_replay(sig_text):
 
 
 MONO_KEYS = [(a, m, b) for a in range(3) for m in range(4) for b in range(3)]
-# tag masks the coefficients may carry; JE carries the mask i1*i2 at n,n
-MASK_POOLS = [(0,), (1,), (3,), (0, 2), (1, 2), (0, 1, 2, 3)]
 
 
-def random_series(rng, alg, masks):
-    """A D_n-series with sparse random w-coefficients on a random subset of the masks."""
-    blocks = {}
-    for m in rng.choice(masks, size=rng.integers(1, len(masks) + 1), replace=False):
-        arr = np.zeros(alg.dw + 1, dtype=complex)
-        on = rng.random(alg.dw + 1) < 0.4
-        arr[on] = rng.normal(size=on.sum()) + 1j * rng.normal(size=on.sum())
-        blocks[int(m)] = arr
-    return dual.DSeries(alg.n, alg.dw, blocks)
+def random_series(rng, alg):
+    """A w-series with sparse random complex coefficients."""
+    arr = np.zeros(alg.dw + 1, dtype=complex)
+    on = rng.random(alg.dw + 1) < 0.4
+    arr[on] = rng.normal(size=on.sum()) + 1j * rng.normal(size=on.sum())
+    return arr
 
 
 def random_keys(rng, count):
@@ -157,16 +152,15 @@ def assert_products_agree(got, want):
 
 @given(
     sig_text=st.sampled_from(QUANTUM_SIGS),
-    masks=st.sampled_from(MASK_POOLS),
     sizes=st.tuples(st.integers(1, 8), st.integers(1, 8)),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30, deadline=None)
-def test_batched_sow_product_equals_per_term_reference(sig_text, masks, sizes, seed):
+def test_batched_sow_product_equals_per_term_reference(sig_text, sizes, seed):
     rng = np.random.default_rng(seed)
     alg = dual.SowAlgebra(sig_of(sig_text), dw=6, dx=6)
     x, y = (
-        dual.SowElement(alg, {k: random_series(rng, alg, masks) for k in random_keys(rng, size)})
+        dual.SowElement(alg, {k: random_series(rng, alg) for k in random_keys(rng, size)})
         for size in sizes
     )
     assert_products_agree(x * y, reference_sow_mul(x, y))
@@ -174,19 +168,18 @@ def test_batched_sow_product_equals_per_term_reference(sig_text, masks, sizes, s
 
 @given(
     sig_text=st.sampled_from(QUANTUM_SIGS),
-    masks=st.sampled_from(MASK_POOLS),
     sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30, deadline=None)
-def test_batched_tensor_product_equals_per_term_reference(sig_text, masks, sizes, seed):
+def test_batched_tensor_product_equals_per_term_reference(sig_text, sizes, seed):
     rng = np.random.default_rng(seed)
     alg = dual.SowAlgebra(sig_of(sig_text), dw=6, dx=6)
     x, y = (
         dual.SowTensor2(
             alg,
             {
-                (kl, kr): random_series(rng, alg, masks)
+                (kl, kr): random_series(rng, alg)
                 for kl, kr in zip(random_keys(rng, size), random_keys(rng, size))
             },
         )
@@ -211,42 +204,15 @@ def test_hopf_checks_equal_per_term_products_bit_for_bit(sig_text, monkeypatch):
     assert (dual.verify_sow_hopf(sig), dual.verify_duality_isomorphism(sig)) == batched
 
 
-def test_sow_products_of_overlapping_tags_vanish():
-    # i1 * i1 = 0: coefficients on one nilpotent tag multiply to nothing
+def test_products_with_a_zero_operand_are_zero():
+    # an empty operand has no coefficient rows; the bulk product must still shape them
     alg = dual.SowAlgebra(sig_of("n,n"), dw=4, dx=4)
-    coeff = dual.DSeries(alg.n, alg.dw, {1: np.ones(alg.dw + 1)})
-    x = alg.gen("X01") * coeff
-    assert (x * x).terms == {}
-    t = dual.SowTensor2(alg, {((1, 0, 0), (0, 0, 0)): coeff})
-    assert (t * t).terms == {}
-
-
-@given(n=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), overlap=st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_dseries_product_equals_per_mask_ser_mul_sums(n, seed, overlap):
-    # with `overlap` every block of a and b carries tag i1, and i1 * i1 = 0
-    rng = np.random.default_rng(seed)
-    d = 5
-    tag = 1 if overlap and n else 0
-
-    def series():
-        masks = rng.choice(2**n, size=rng.integers(1, 2**n + 1), replace=False)
-        arrs = rng.normal(size=(len(masks), d + 1)) + 1j * rng.normal(size=(len(masks), d + 1))
-        arrs[rng.random(arrs.shape) < 0.4] = 0
-        return dual.DSeries(n, d, {int(m) | tag: arr for m, arr in zip(masks, arrs)})
-
-    a, b = series(), series()
-    got = a * b
-    zero = np.zeros(d + 1, dtype=complex)
-    for m in range(2**n):
-        # the coefficient at m sums a[s] * b[m - s] over the subsets s of m
-        want = zero
-        for s in range(m + 1):
-            if s & m == s:
-                want = want + dual.ser_mul(a.blocks.get(s, zero), b.blocks.get(m ^ s, zero), d)
-        assert np.abs(got.blocks.get(m, zero) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    if tag:
-        assert got.blocks == {}
+    x = alg.word(["X12", "X01"]) + alg.gen("X02") * 0.5
+    t = alg.delta_gen("X01")
+    for a, zero in ((x, alg.zero()), (t, dual.SowTensor2(alg, {}))):
+        for r in (a * zero, zero * a, zero * zero):
+            assert type(r) is type(a)
+            assert r.terms == {}
 
 
 def test_word_commutes_contracted_generators():

@@ -24,7 +24,7 @@ def test_tensor_squares_keep_their_type_and_read_both_banks():
     assert repr(t) == "TensorElement(2 terms, deg 3)"
 
     alg = dual.SowAlgebra(ParameterSignature.parse("n,n"), dw=4, dx=4)
-    one = dual.DSeries.const(alg.n, alg.dw)
+    one = alg.one().terms[(0, 0, 0)]  # the unit w-series
     s = dual.SowTensor2(alg, {
         ((0, 1, 0), (0, 3, 0)): one * 8.0,  # right bank over a cap of 2
         ((0, 3, 0), (1, 0, 0)): one * 6.0,  # left bank over a cap of 2
