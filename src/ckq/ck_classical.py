@@ -137,7 +137,7 @@ def verify_j_orthogonality(A: CKMatrix) -> float:
     ident = DMatrix.identity(A.mat.n, A.size)
     r1 = (A.mat @ A.mat.T - ident).max_abs()
     r2 = (A.mat.T @ A.mat - ident).max_abs()
-    return max(r1, r2)
+    return worst_residual((r1, r2))
 
 
 def ck_det(A: CKMatrix) -> PimenovElement:
@@ -244,7 +244,7 @@ def symplectic_orthogonality_residual(B: CKMatrix) -> float:
     C0 = DMatrix.from_scalar(B.mat.n, c0_matrix(B.size))
     r1 = (B.mat @ C0 @ B.mat.T - C0).max_abs()
     r2 = (B.mat.T @ C0 @ B.mat - C0).max_abs()
-    return max(r1, r2)
+    return worst_residual((r1, r2))
 
 
 def random_group_element(

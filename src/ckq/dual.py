@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .pimenov import (
     ParameterSignature,
     PimenovElement,
     cosh_j,
+    even_j,
     jfactor_square,
     sinhc_j,
     tanhc_j,
@@ -100,28 +101,19 @@ def atom_matrices(f: DualFunctionals) -> dict[str, DMatrix]:
 def _corner_kernel(kappa: complex, v: complex) -> complex:
     """(2 sinh Jv - sinh 2Jv) / (2 J^3) as a scalar, given kappa = J^2."""
     v = complex(v)
-    if kappa == 0:
-        return -(v**3) / 2.0
-    s = cmath.sqrt(kappa)
-    return (2 * cmath.sinh(s * v) - cmath.sinh(2 * s * v)) / (2 * s**3)
+    return even_j(kappa, -(v**3) / 2.0, lambda s: (2 * cmath.sinh(s * v) - cmath.sinh(2 * s * v)) / (2 * s**3))
 
 
 def _h3_kernel(kappa: complex, v: complex) -> complex:
     """(cosh(3Jv/2) - cosh(Jv/2)) / (2 J^2) as a scalar."""
     v = complex(v)
-    if kappa == 0:
-        return v**2
-    s = cmath.sqrt(kappa)
-    return (cmath.cosh(1.5 * s * v) - cmath.cosh(0.5 * s * v)) / (2 * kappa)
+    return even_j(kappa, v**2, lambda s: (cmath.cosh(1.5 * s * v) - cmath.cosh(0.5 * s * v)) / (2 * kappa))
 
 
 def _h4_kernel(kappa: complex, v: complex) -> complex:
     """(cosh(2Jv) - 1) / (2 J^2) as a scalar."""
     v = complex(v)
-    if kappa == 0:
-        return v**2
-    s = cmath.sqrt(kappa)
-    return (cmath.cosh(2 * s * v) - 1) / (2 * kappa)
+    return even_j(kappa, v**2, lambda s: (cmath.cosh(2 * s * v) - 1) / (2 * kappa))
 
 
 def pairing_table(sig: ParameterSignature, v: complex) -> dict[tuple[str, str], tuple]:
@@ -188,18 +180,19 @@ _SLOT_ATOMS = {
 }
 
 
-def _predicted_pairings(
-    sig: ParameterSignature, v: complex, slot: tuple
-) -> dict[str, PimenovElement] | str:
-    """Pairing of one triangular functional against every generator."""
+def _predicted_slice(sig: ParameterSignature, v: complex, slot: tuple) -> DMatrix:
+    """The 3x3 value matrix of one triangular functional, assembled from the
+    pairing table: its pairing with each generator, placed where the
+    generator sits in the generator matrix."""
+    n = sig.n_slots
     spec = _SLOT_ATOMS.get(slot)
     if spec is None:
-        return "zero"
+        return DMatrix.zeros(n, 3)
     if spec == "unit":
-        return "unit"
+        return DMatrix.identity(n, 3)
     table = pairing_table(sig, v)
-    n = sig.n_slots
-    out: dict[str, PimenovElement] = {}
+    zero = PimenovElement.scalar(n, 0.0)
+    pairings: dict[str, PimenovElement] = {}
     for atom, (c0, e1, e2) in spec:
         for (a, comp), (c, f1, f2, kern) in table.items():
             if a != atom:
@@ -207,23 +200,12 @@ def _predicted_pairings(
             g1, g2 = e1 + f1, e2 + f2
             if g1 < 0 or g2 < 0:
                 raise ValueError(f"negative exponent assembling slot {slot}")
-            val = mono_eval(sig, (c0 * c * kern, g1, g2))
-            out[comp] = out.get(comp, PimenovElement.scalar(n, 0.0)) + val
-    return out
-
-
-def _assemble_slice(
-    sig: ParameterSignature, pairings: Mapping[str, PimenovElement]
-) -> DMatrix:
-    """Build the 3x3 value matrix from per-generator pairings."""
-    n = sig.n_slots
-    zero = PimenovElement.scalar(n, 0.0)
-    names_at = {pos: ids for pos, ids in GEN_AT.items()}
+            pairings[comp] = pairings.get(comp, zero) + mono_eval(sig, (c0 * c * kern, g1, g2))
     ents = [[zero for _ in range(3)] for _ in range(3)]
     for a in range(1, 4):
         for b in range(1, 4):
             c, d = CD_TABLE[(a, b)]
-            gt, gtt = names_at[canonical_position(a, b)]
+            gt, gtt = GEN_AT[canonical_position(a, b)]
             val = mono_eval(sig, c) * pairings.get(GEN_NAMES[gt], zero)
             if gtt is not None and d is not None:
                 val = val + mono_eval(sig, d) * pairings.get(GEN_NAMES[gtt], zero)
@@ -257,7 +239,6 @@ def verify_pairing_table(sig: ParameterSignature, v: complex) -> dict:
     slots) and compared with the actual ones.
     """
     f = build_functionals(sig, v)
-    n = sig.n_slots
     report: dict = {"signature": str(sig), "v": str(v)}
     residuals = []
 
@@ -300,15 +281,8 @@ def verify_pairing_table(sig: ParameterSignature, v: complex) -> dict:
     for eps in ("+", "-"):
         for i in range(1, 4):
             for j in range(1, 4):
-                pred = _predicted_pairings(sig, v, (eps, i, j))
-                actual = f.slice(i, j, eps)
-                if pred == "zero":
-                    mat = DMatrix.zeros(n, 3)
-                elif pred == "unit":
-                    mat = DMatrix.identity(n, 3)
-                else:
-                    mat = _assemble_slice(sig, pred)
-                slot_res[f"{eps}{i}{j}"] = (mat - actual).max_abs()
+                pred = _predicted_slice(sig, v, (eps, i, j))
+                slot_res[f"{eps}{i}{j}"] = (pred - f.slice(i, j, eps)).max_abs()
     worst = worst_residual([*residuals, *slot_res.values()])
     report["slot_residuals"] = slot_res
     report["residual"] = worst
@@ -349,7 +323,7 @@ def verify_L_relations(sig: ParameterSignature, v: complex) -> dict:
 
     C = cmatrix(sig, v)
     Ct = C.mat.T
-    Cti = C.inv().T
+    Cti = C.mat.inv().T
     for label, M in (("metric", Ct), ("metric_inv", Cti)):
         for eps in ("+", "-"):
             residuals = []
@@ -527,12 +501,9 @@ class SowAlgebra:
 
     def exp_x02(self, c: complex) -> "SowElement":
         """e^{c * w * X02} as a normal-ordered element."""
-        terms = {}
-        for k in range(min(self.dw, self.dx) + 1):
-            arr = np.zeros(self.dw + 1, dtype=complex)
-            arr[k] = c**k / math.factorial(k)
-            terms[(0, k, 0)] = arr
-        return SowElement(self, terms)
+        return SowElement(
+            self, {(0, k, 0): self.w_mono(k, c**k / math.factorial(k)) for k in range(min(self.dw, self.dx) + 1)}
+        )
 
     def word(self, names: Sequence[str]) -> "SowElement":
         out = self.one()
@@ -541,6 +512,12 @@ class SowAlgebra:
         return out
 
     # -- scalar series ----------------------------------------------------
+
+    def w_mono(self, k: int, c: complex) -> np.ndarray:
+        """The w-series c * w^k (k <= dw)."""
+        arr = np.zeros(self.dw + 1, dtype=complex)
+        arr[k] = c
+        return arr
 
     def even_series(self, half: bool, odd: bool) -> np.ndarray:
         """cos/sinc-type series of J*w (half=True: of J*w/2) in kappa."""
@@ -558,23 +535,21 @@ class SowAlgebra:
             p = 2 * k + 1
             if p > self.dx:
                 break
-            arr = np.zeros(self.dw + 1, dtype=complex)
-            arr[2 * k] = 1.0 / math.factorial(p)
-            out.append((p, arr))
+            out.append((p, self.w_mono(2 * k, 1.0 / math.factorial(p))))
         return out
 
     # -- normal ordering ---------------------------------------------------
 
     def _unit_map(self, key):
         """{key: the w-series 1}, for a monomial or a tensor-square key."""
-        arr = np.zeros(self.dw + 1, dtype=complex)
-        arr[0] = 1.0
-        return {key: arr}
+        return {key: self.w_mono(0, 1.0)}
 
-    def _combine(self, state: dict[Key, np.ndarray], push) -> dict[Key, np.ndarray]:
-        out: dict[Key, np.ndarray] = {}
+    def _combine(self, state: Mapping, image: Callable[..., Mapping]) -> dict:
+        """Linear extension: the sum of ser_mul(coefficient, image(key)[k]) over state, in
+        the order of state, then of each image; keys whose sum is zero are dropped."""
+        out: dict = {}
         for key, coeff in state.items():
-            for k2, c2 in push(key).items():
+            for k2, c2 in image(key).items():
                 add = ser_mul(coeff, c2, self.dw)
                 out[k2] = out[k2] + add if k2 in out else add
         return {k: c for k, c in out.items() if c.any()}
@@ -605,8 +580,7 @@ class SowAlgebra:
             out = self._combine(self._push01((a, m - 1, 0)), self._push02)
             if self.j1sq != 0:
                 k3 = (a, m - 1, 1)
-                add = np.zeros(self.dw + 1, dtype=complex)
-                add[0] = -self.j1sq
+                add = self.w_mono(0, -self.j1sq)
                 out[k3] = out[k3] + add if k3 in out else add
             out = {k: c for k, c in out.items() if c.any()}
         self._push01_memo[key] = out
@@ -659,43 +633,37 @@ class SowAlgebra:
     # -- Hopf data ---------------------------------------------------------
 
     def delta_gen(self, name: str) -> "SowTensor2":
-        dw, dx = self.dw, self.dx
         if name == "X02":
             x02_one, one_x02 = ((0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0))
             return SowTensor2(self, {**self._unit_map(x02_one), **self._unit_map(one_x02)})
         gkey = {"X01": (1, 0, 0), "X12": (0, 0, 1)}[name]
         terms: dict[tuple[Key, Key], np.ndarray] = {}
-        for k in range(min(dw, dx) + 1):
-            arr_m = np.zeros(dw + 1, dtype=complex)
-            arr_m[k] = (-0.5) ** k / math.factorial(k)
-            arr_p = np.zeros(dw + 1, dtype=complex)
-            arr_p[k] = 0.5**k / math.factorial(k)
-            terms[((0, k, 0), gkey)] = arr_m
-            terms[(gkey, (0, k, 0))] = arr_p
+        for k in range(min(self.dw, self.dx) + 1):
+            terms[((0, k, 0), gkey)] = self.w_mono(k, (-0.5) ** k / math.factorial(k))
+            terms[(gkey, (0, k, 0))] = self.w_mono(k, 0.5**k / math.factorial(k))
         return SowTensor2(self, terms)
+
+    def _word_image(
+        self, key: Key, unit: "SowElement", image: Callable[[str], "SowElement"], reverse: bool = False
+    ) -> "SowElement":
+        """unit times image(letter) along the word X01^a X02^m X12^b of key
+        (along the reversed word if reverse), multiplied in from the right."""
+        a, m, b = key
+        letters = ["X01"] * a + ["X02"] * m + ["X12"] * b
+        out = unit
+        for nm in reversed(letters) if reverse else letters:
+            out = out * image(nm)
+        return out
 
     def delta_mono(self, key: Key) -> dict[tuple[Key, Key], np.ndarray]:
         hit = self._delta_memo.get(key)
-        if hit is not None:
-            return hit
-        a, m, b = key
-        acc = SowTensor2(self, self._unit_map(((0, 0, 0), (0, 0, 0))))
-        for _ in range(a):
-            acc = acc * self.delta_gen("X01")
-        for _ in range(m):
-            acc = acc * self.delta_gen("X02")
-        for _ in range(b):
-            acc = acc * self.delta_gen("X12")
-        self._delta_memo[key] = acc.terms
-        return acc.terms
+        if hit is None:
+            unit = SowTensor2(self, self._unit_map(((0, 0, 0), (0, 0, 0))))
+            hit = self._delta_memo[key] = self._word_image(key, unit, self.delta_gen).terms
+        return hit
 
     def delta(self, x: "SowElement") -> "SowTensor2":
-        out: dict[tuple[Key, Key], np.ndarray] = {}
-        for key, c in x.terms.items():
-            for pair, arr in self.delta_mono(key).items():
-                add = ser_mul(c, arr, self.dw)
-                out[pair] = out[pair] + add if pair in out else add
-        return SowTensor2(self, out)
+        return SowTensor2(self, self._combine(x.terms, self.delta_mono))
 
     def antipode_gen(self, name: str) -> "SowElement":
         if name == "X02":
@@ -714,18 +682,9 @@ class SowAlgebra:
 
     def antipode_mono(self, key: Key) -> "SowElement":
         hit = self._antipode_memo.get(key)
-        if hit is not None:
-            return hit
-        a, m, b = key
-        out = self.one()
-        for _ in range(b):
-            out = out * self.antipode_gen("X12")
-        for _ in range(m):
-            out = out * self.antipode_gen("X02")
-        for _ in range(a):
-            out = out * self.antipode_gen("X01")
-        self._antipode_memo[key] = out
-        return out
+        if hit is None:
+            hit = self._antipode_memo[key] = self._word_image(key, self.one(), self.antipode_gen, reverse=True)
+        return hit
 
     def antipode(self, x: "SowElement") -> "SowElement":
         out = self.zero()
@@ -767,6 +726,7 @@ class SowElement:
         return type(self)(self.alg, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
+    __array_ufunc__ = None  # a w-series on the left defers to __rmul__
 
     def _expand(self, k1: Key, k2: Key):
         """The (key, w-series factors) contributions of the monomial product k1 * k2."""
@@ -831,30 +791,18 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
 
     # antipode axiom m(S x id)Delta = counit = m(id x S)Delta on generators
     for nm in ("X01", "X02", "X12"):
-        d = D[nm]
-        acc1 = alg.zero()
-        acc2 = alg.zero()
-        for (k1, k2), c in d.terms.items():
-            acc1 = acc1 + (alg.antipode_mono(k1) * SowElement(alg, {k2: c}))
-            acc2 = acc2 + (SowElement(alg, {k1: c}) * alg.antipode_mono(k2))
+        d = D[nm].terms.items()
+        acc1 = sum((alg.antipode_mono(k1) * SowElement(alg, {k2: c}) for (k1, k2), c in d), alg.zero())
+        acc2 = sum((SowElement(alg, {k1: c}) * alg.antipode_mono(k2) for (k1, k2), c in d), alg.zero())
         res[f"antipode_{nm}"] = worst_residual(
             (acc1.max_abs(w_cap=dw, x_cap=dx), acc2.max_abs(w_cap=dw, x_cap=dx))
         )
 
     # coassociativity on generators
     for nm in ("X01", "X02", "X12"):
-        d = D[nm]
-        lhs: dict[tuple[Key, Key, Key], np.ndarray] = {}
-        rhs: dict[tuple[Key, Key, Key], np.ndarray] = {}
-        for (k1, k2), c in d.terms.items():
-            for (a1, a2), arr in alg.delta_mono(k1).items():
-                key = (a1, a2, k2)
-                add = ser_mul(c, arr, alg.dw)
-                lhs[key] = lhs[key] + add if key in lhs else add
-            for (b1, b2), arr in alg.delta_mono(k2).items():
-                key = (k1, b1, b2)
-                add = ser_mul(c, arr, alg.dw)
-                rhs[key] = rhs[key] + add if key in rhs else add
+        # (Delta x id)Delta and (id x Delta)Delta; a dropped zero sum compares as zero
+        lhs = alg._combine(D[nm].terms, lambda k: {(*p, k[1]): c for p, c in alg.delta_mono(k[0]).items()})
+        rhs = alg._combine(D[nm].terms, lambda k: {(k[0], *p): c for p, c in alg.delta_mono(k[1]).items()})
         residuals = []
         zero = np.zeros(alg.dw + 1, dtype=complex)
         for key in set(lhs) | set(rhs):
@@ -907,9 +855,7 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
     S2 = alg.even_series(half=True, odd=True)  # sin(Jw/2)/(Jw/2)
     C2 = alg.even_series(half=True, odd=False)  # cos(Jw/2)
     T2 = ser_div(S2, C2, d)  # tan(Jw/2)/(Jw/2)
-    w_shift = np.zeros(d + 1, dtype=complex)
-    if d >= 1:
-        w_shift[1] = 1.0
+    w_shift = alg.w_mono(1, 1.0)
 
     # the scale factor of the off-diagonal functionals, J left out
     e_ser = ser_mul(math.sqrt(2.0) * w_shift, ser_sqrt(S1, d), d)

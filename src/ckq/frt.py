@@ -134,9 +134,6 @@ class CMatrix:
     sig: ParameterSignature
     v: complex
 
-    def inv(self) -> DMatrix:
-        return self.mat.inv()
-
 
 def _exp_kernels(sig: ParameterSignature, v: complex):
     """e^{Jv}, e^{-Jv}, e^{-Jv/2}, sinh Jv over D with J the full j-factor."""
@@ -436,7 +433,7 @@ def antipode_matrix(sig: ParameterSignature, v: complex) -> list[list[FreeElemen
     Tt = [[T[j][i] for j in range(3)] for i in range(3)]
     C = cmatrix(sig, v)
     Cp = _pim_entries(C.mat)
-    Cip = _pim_entries(C.inv())
+    Cip = _pim_entries(C.mat.inv())
     return _fmat_mul(_fmat_mul(Cp, Tt), Cip)
 
 

@@ -16,8 +16,9 @@ The module also provides
   (a skipped one adds an exact 0j to a sum that is never -0.0: same bits),
 * parameter signatures (the vector of "geometry switches" j_1..j_{N-1},
   each 1, nilpotent, or imaginary) and their running products J_{mu,nu},
-* trigonometry of a single J-factor computed through even power series, so
-  that expressions like (1/j)*sin(j*phi) never divide by a nilpotent.
+* trigonometry of a single J-factor computed through even functions of J,
+  so that expressions like (1/j)*sin(j*phi) never divide by a nilpotent:
+  `even_j` holds the one limit branch, where J^2 = 0.
 """
 
 from __future__ import annotations
@@ -420,6 +421,12 @@ def is_j_monomial(j: PimenovElement) -> bool:
     return len(j.coeffs) <= 1
 
 
+def even_j(w: complex, at_zero: complex, f: Callable[[complex], complex]) -> complex:
+    """f(sqrt(w)) for f even in J, given w = J^2 (so the root's branch is
+    irrelevant); the limit at_zero when w = 0, where J is nilpotent."""
+    return at_zero if w == 0 else f(cmath.sqrt(w))
+
+
 def scaled_trig(j: PimenovElement, phi: Scalar) -> tuple[PimenovElement, complex, complex]:
     """(sin(j*phi), (1/j)*sin(j*phi), cos(j*phi)) for a single J-factor j.
 
@@ -432,42 +439,27 @@ def scaled_trig(j: PimenovElement, phi: Scalar) -> tuple[PimenovElement, complex
         raise ValueError("scaled_trig expects a single J-factor")
     w = jfactor_square(j)
     phi = complex(phi)
-    if w == 0:
-        cosj = 1.0 + 0j
-        sincj = phi
-    else:
-        s = cmath.sqrt(w)  # branch irrelevant: both uses are even in s
-        cosj = cmath.cos(s * phi)
-        sincj = cmath.sin(s * phi) / s
-    sinj = j * sincj
-    return sinj, sincj, cosj
+    cosj = even_j(w, 1.0 + 0j, lambda s: cmath.cos(s * phi))
+    sincj = even_j(w, phi, lambda s: cmath.sin(s * phi) / s)
+    return j * sincj, sincj, cosj
 
 
 def sinhc_j(w: complex, z: Scalar) -> complex:
     """(1/J) * sinh(J*z) as a scalar, given w = J^2 (limit z at w = 0)."""
     z = complex(z)
-    if w == 0:
-        return z
-    s = cmath.sqrt(w)
-    return cmath.sinh(s * z) / s
+    return even_j(w, z, lambda s: cmath.sinh(s * z) / s)
 
 
 def cosh_j(w: complex, z: Scalar) -> complex:
     """cosh(J*z) as a scalar, given w = J^2."""
     z = complex(z)
-    if w == 0:
-        return 1.0 + 0j
-    s = cmath.sqrt(w)
-    return cmath.cosh(s * z)
+    return even_j(w, 1.0 + 0j, lambda s: cmath.cosh(s * z))
 
 
 def tanhc_j(w: complex, z: Scalar) -> complex:
     """(1/J) * tanh(J*z) as a scalar, given w = J^2 (limit z at w = 0)."""
     z = complex(z)
-    if w == 0:
-        return z
-    s = cmath.sqrt(w)
-    return cmath.tanh(s * z) / s
+    return even_j(w, z, lambda s: cmath.tanh(s * z) / s)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,35 @@ def test_products_with_a_zero_operand_are_zero():
             assert r.terms == {}
 
 
+def test_a_series_on_the_left_multiplies_as_on_the_right():
+    # numpy must defer to __rmul__ instead of broadcasting over the series
+    alg = dual.SowAlgebra(sig_of("1,1"), dw=4, dx=4)
+    series = np.arange(alg.dw + 1.0)
+    for x in (alg.word(["X12", "X01"]), alg.delta_gen("X01")):
+        got, want = series * x, x * series
+        assert type(got) is type(x)
+        assert list(got.terms) == list(want.terms)
+        assert all(np.array_equal(got.terms[k], want.terms[k]) for k in want.terms)
+
+
+def test_hopf_subchecks_catch_a_broken_coproduct(monkeypatch):
+    # Delta(X01) gains w (X02 x X02): a term the sums must carry, not drop
+    delta_gen = dual.SowAlgebra.delta_gen
+
+    def broken(alg, name):
+        d = delta_gen(alg, name)
+        if name == "X01":
+            d = d + dual.SowTensor2(alg, {((0, 1, 0), (0, 1, 0)): alg.w_mono(1, 1.0)})
+        return d
+
+    monkeypatch.setattr(dual.SowAlgebra, "delta_gen", broken)
+    rep = dual.verify_sow_hopf(sig_of("1,1"))
+    hit = {"delta_rel2", "delta_rel3", "antipode_X01", "coassoc_X01"}
+    assert not rep["pass"]
+    assert {k for k, r in rep["checks"].items() if r >= 0.5} == hit
+    assert all(r <= 1e-15 for k, r in rep["checks"].items() if k not in hit)
+
+
 def test_word_commutes_contracted_generators():
     alg = dual.SowAlgebra(sig_of("n,n"), dw=4, dx=4)
     x = alg.word(["X02", "X01"])
