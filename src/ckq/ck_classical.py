@@ -11,9 +11,8 @@ unscaled coordinates (the familiar rotation / Galilei / Lorentz pictures).
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -24,7 +23,6 @@ from .pimenov import (
     ParameterSignature,
     PimenovElement,
     Scalar,
-    is_j_monomial,
     jfactor_square,
     scaled_trig,
     worst_residual,

@@ -67,9 +67,13 @@ def _parse_v(text: str) -> complex:
         v = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise click.UsageError(f"cannot parse deformation parameter {text!r}")
-    if not cmath.isfinite(v):
-        raise click.UsageError(f"deformation parameter {text!r} is not finite")
+    _require_finite(f"deformation parameter {text!r}", v)
     return v
+
+
+def _require_finite(what: str, *values: complex) -> None:
+    if not all(map(cmath.isfinite, values)):
+        raise click.UsageError(f"{what} is not finite")
 
 
 def _load_config(path: str | None) -> dict:
@@ -242,7 +246,7 @@ CHECKS: dict[str, tuple[str, float | None, Callable[[_Inputs], float | dict]]] =
     "dual.commutators": (
         "dual", None, lambda x: _judged(dualmod.verify_dual_commutators(x.sig, x.v), v=x.vs)),
     "dual.sow-hopf": ("dual", None, lambda x: _judged(
-        dualmod.verify_sow_hopf(x.sig, dw=x.trunc, dx=x.trunc), truncation=x.trunc)),
+        dualmod.verify_sow_hopf(x.sig, dw=x.trunc), truncation=x.trunc)),
     "dual.iso": ("dual", None, lambda x: _judged(
         dualmod.verify_duality_isomorphism(x.sig, dw=x.trunc), truncation=x.trunc)),
 }
@@ -319,6 +323,7 @@ def pim_eval(expr: str, n_tags: int, kernel: str | None, inv: bool) -> None:
             val = val.inv()
     except (ValueError, ArithmeticError) as exc:
         raise click.UsageError(str(exc))
+    _require_finite(f"the value of {expr!r}", *val.coeffs.values())
     click.echo(format_element(val))
 
 
@@ -338,6 +343,7 @@ def ck_group() -> None:
 @format_option
 def ck_rotate(size: int, sig_text: str, plane: str, phi: float, fmt: str) -> None:
     """Print an elementary rotation in the given coordinate plane."""
+    _require_finite("--phi", phi)
     sig = _parse_sig(sig_text)
     if sig.n_slots != size - 1:
         raise click.UsageError(f"signature needs {size - 1} slots for N={size}")
@@ -356,6 +362,7 @@ def ck_rotate(size: int, sig_text: str, plane: str, phi: float, fmt: str) -> Non
 @click.option("--phi-max", type=float, default=1.0, show_default=True)
 def ck_orbit(plane: str, start: str, steps: int, phi_max: float) -> None:
     """Emit CSV points phi,x0,x1 along a one-parameter orbit."""
+    _require_finite("--phi-max", phi_max)
     _echo_lines(_orbit_lines(plane, start, steps, phi_max))
 
 
@@ -492,6 +499,7 @@ def _orbit_lines(plane: str, start: str, steps: int, phi_max: float) -> list[str
         x0, x1 = (float(p) for p in start.split(","))
     except ValueError:
         raise click.UsageError(f"cannot parse start point {start!r}")
+    _require_finite("--from", x0, x1)
     return ["phi,x0,x1"] + [
         f"{phi:.12g},{a:.12g},{b:.12g}"
         for phi, a, b in ck.orbit_sample(plane, (x0, x1), np.linspace(0.0, phi_max, steps))

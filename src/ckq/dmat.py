@@ -9,7 +9,7 @@ numpy matmuls per mask pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dmat import DMatrix
-from .frt import CD_TABLE, GEN_AT, GEN_NAMES, N, canonical_position, cmatrix, flip_matrix, mono_eval, rmatrix3
+from .frt import GEN_NAMES, N, cmatrix, flip_matrix, generator_matrix, mono_eval, rmatrix3
 from .pimenov import (
     ParameterSignature,
     PimenovElement,
@@ -201,16 +201,7 @@ def _predicted_slice(sig: ParameterSignature, v: complex, slot: tuple) -> DMatri
             if g1 < 0 or g2 < 0:
                 raise ValueError(f"negative exponent assembling slot {slot}")
             pairings[comp] = pairings.get(comp, zero) + mono_eval(sig, (c0 * c * kern, g1, g2))
-    ents = [[zero for _ in range(3)] for _ in range(3)]
-    for a in range(1, 4):
-        for b in range(1, 4):
-            c, d = CD_TABLE[(a, b)]
-            gt, gtt = GEN_AT[canonical_position(a, b)]
-            val = mono_eval(sig, c) * pairings.get(GEN_NAMES[gt], zero)
-            if gtt is not None and d is not None:
-                val = val + mono_eval(sig, d) * pairings.get(GEN_NAMES[gtt], zero)
-            ents[a - 1][b - 1] = val
-    return DMatrix.from_entries(n, ents)
+    return DMatrix.from_entries(n, generator_matrix(sig, lambda g: pairings.get(GEN_NAMES[g], zero)))
 
 
 def _extract_pairings_trivial(rho: DMatrix) -> dict[str, complex]:
@@ -765,15 +756,15 @@ class SowTensor2(SowElement):
 # ---------------------------------------------------------------------------
 
 
-def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
+def verify_sow_hopf(sig: ParameterSignature, dw: int = 8) -> dict:
     """Coproduct compatibility, antipode axiom, coassociativity and the
     antipode anti-homomorphism property, all modulo truncation.
 
-    `x02_truncated` tells whether some product lost terms to the X02-degree
-    cap of the working algebra (dx + 3); the residuals only read X02
-    degrees up to dx.
+    The residuals read w-orders and X02 degrees up to dw.  `x02_truncated`
+    tells whether some product lost terms to the X02-degree cap of the
+    working algebra (dw + 3).
     """
-    alg = SowAlgebra(sig, dw=dw + 2, dx=dx + 3)
+    alg = SowAlgebra(sig, dw=dw + 2, dx=dw + 3)
     res: dict[str, float] = {}
 
     # Delta is an algebra map on the three defining relations
@@ -787,7 +778,7 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
         ("delta_rel3", D["X12"] * D["X01"] - D["X01"] * D["X12"] - d_sinh),
     ]
     for label, t in pairs:
-        res[label] = t.max_abs(w_cap=dw, x_cap=dx)
+        res[label] = t.max_abs(w_cap=dw, x_cap=dw)
 
     # antipode axiom m(S x id)Delta = counit = m(id x S)Delta on generators
     for nm in ("X01", "X02", "X12"):
@@ -795,7 +786,7 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
         acc1 = sum((alg.antipode_mono(k1) * SowElement(alg, {k2: c}) for (k1, k2), c in d), alg.zero())
         acc2 = sum((SowElement(alg, {k1: c}) * alg.antipode_mono(k2) for (k1, k2), c in d), alg.zero())
         res[f"antipode_{nm}"] = worst_residual(
-            (acc1.max_abs(w_cap=dw, x_cap=dx), acc2.max_abs(w_cap=dw, x_cap=dx))
+            (acc1.max_abs(w_cap=dw, x_cap=dw), acc2.max_abs(w_cap=dw, x_cap=dw))
         )
 
     # coassociativity on generators
@@ -807,7 +798,7 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
         zero = np.zeros(alg.dw + 1, dtype=complex)
         for key in set(lhs) | set(rhs):
             diff = lhs.get(key, zero) - rhs.get(key, zero)
-            if max(m for (_, m, _) in ((key[0]), (key[1]), (key[2]))) <= dx:
+            if max(m for _, m, _ in key) <= dw:
                 residuals.append(np.abs(diff[: dw + 1]).max())
         res[f"coassoc_{nm}"] = worst_residual(residuals)
 
@@ -817,14 +808,14 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8, dx: int = 8) -> dict:
         for nm2 in ("X01", "X02", "X12"):
             lhs_el = alg.antipode(X[nm1] * X[nm2])
             rhs_el = alg.antipode_gen(nm2) * alg.antipode_gen(nm1)
-            residuals.append((lhs_el - rhs_el).max_abs(w_cap=dw, x_cap=dx))
+            residuals.append((lhs_el - rhs_el).max_abs(w_cap=dw, x_cap=dw))
     res["antihomomorphism"] = worst_residual(residuals)
 
     total = worst_residual(res.values())
     return {
         "checks": res,
         "residual": total,
-        "truncation": (dw, dx),
+        "truncation": (dw, dw),
         "x02_truncated": alg.dropped,
         "pass": total <= 1e-9,
     }

@@ -5,7 +5,9 @@ word is a tuple of generator ids.  Words concatenate under multiplication and
 tag masks combine by the nilpotent rule (overlap kills the term).  The
 tensor square TensorElement inherits FreeElement's arithmetic and replaces
 only its term product, the one plain loop over disjoint masks kept here for
-speed; every other D_n product goes through `pimenov.tag_product`.
+speed; every other D_n product goes through `pimenov.tag_product`.  An
+algebra map out of the free algebra is fixed by its generator images, and
+`algebra_map` is its one extension over words and terms.
 
 Quadratic relation sets are turned into rewrite rules by viewing their
 tag-closure as a plain complex linear space in the (mask, word) basis and
@@ -20,9 +22,8 @@ pipeline runs on the other tags and ORs the free ones back in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -179,21 +180,22 @@ class TensorElement(FreeElement):
         return out
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """An immutable sequence of relations (stored as a tuple)."""
+def algebra_map(x: FreeElement, images: Mapping[int, Any], unit: Any) -> Any:
+    """The D_n-algebra map fixed by the generator images, applied to x.
 
-    relations: tuple[FreeElement, ...]
-    label: str = "derived"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relations", tuple(self.relations))
-
-    def __iter__(self):
-        return iter(self.relations)
-
-    def __len__(self) -> int:
-        return len(self.relations)
+    Each term's image is `unit` times the images of its letters, left to
+    right, times its tag coefficient; the terms' images are summed in the
+    order of x.  `unit` and the images only need to multiply with each other
+    and with a PimenovElement (floats, PimenovElement, FreeElement or
+    TensorElement); the result has the type of `unit` times a PimenovElement.
+    """
+    out = unit * PimenovElement(x.n)
+    for (mask, word), c in x.terms.items():
+        acc = unit
+        for g in word:
+            acc = acc * images[g]
+        out = out + acc * PimenovElement(x.n, {mask: c})
+    return out
 
 
 def unused_tags(elements: Iterable[FreeElement], n: int) -> int:
@@ -205,9 +207,7 @@ def unused_tags(elements: Iterable[FreeElement], n: int) -> int:
     return ((1 << n) - 1) & ~used
 
 
-def iota_closure(
-    rs: RelationSet | Sequence[FreeElement], n: int, unused: int = 0
-) -> list[FreeElement]:
+def iota_closure(rs: Iterable[FreeElement], n: int, unused: int = 0) -> list[FreeElement]:
     """All nonzero multiples of the relations by tag monomials disjoint from `unused`.
 
     With unused = 0 (the default) every tag monomial is used, and the ideal
@@ -215,15 +215,12 @@ def iota_closure(
     relation carries the tags in `unused`, the full closure is this compact
     one with every subset of `unused` OR-ed into each row.
     """
-    relations = list(rs.relations if isinstance(rs, RelationSet) else rs)
     out: list[FreeElement] = []
-    unit = PimenovElement.unit(n)
-    for r in relations:
+    for r in rs:
         for mask in range(1 << n):
             if mask & unused:
                 continue
-            iota = PimenovElement(n, {mask: 1.0}) if mask else unit
-            m = r * iota
+            m = r * PimenovElement(n, {mask: 1.0})
             if not m.is_zero():
                 out.append(m)
     return out
@@ -532,11 +529,7 @@ def _lift_rules(rules: dict[TermKey, FreeElement], unused: int) -> dict[TermKey,
     return dict(sorted(lifted.items(), key=lambda it: term_order_key(*it[0]), reverse=True))
 
 
-def build_reduction(
-    rs: RelationSet | Sequence[FreeElement],
-    n: int,
-    G: int,
-) -> ReductionSystem:
+def build_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionSystem:
     """Turn a degree <= 2 relation set into a rewriting system.
 
     The tag-closure of the relations is row-reduced into quadratic rules.
@@ -621,9 +614,8 @@ def numeric_rank(sv: np.ndarray) -> int:
     return int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0]))
 
 
-def relation_rank(rs: RelationSet | Sequence[FreeElement]) -> int:
+def relation_rank(relations: Sequence[FreeElement]) -> int:
     """Numeric rank of a relation list in the (mask, word) basis (see numeric_rank)."""
-    relations = list(rs.relations if isinstance(rs, RelationSet) else rs)
     columns = sorted({k for r in relations for k in r.terms})
     if not columns:
         return 0

@@ -5,6 +5,11 @@ coordinate algebra with its exchange (RTT) and deformed-orthogonality
 relations, and the Hopf structure maps (coproduct, counit, antipode).  The
 deformation parameter v is numerically sampled; nilpotent signature slots
 are carried exactly, so contracted cases are structurally exact.
+
+The generator matrix is assembled in one place, `generator_matrix`, over
+any values of the nine generators.  The counit, the coproduct and the
+contraction's rescaling are algebra maps given by their generator images
+and extended by `free_algebra.algebra_map`.  Relation sets are tuples.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -22,8 +27,8 @@ from .dmat import DMatrix
 from .free_algebra import (
     FreeElement,
     ReductionSystem,
-    RelationSet,
     TensorElement,
+    algebra_map,
     build_reduction,
     coefficient_matrix,
     free_tensor,
@@ -32,7 +37,7 @@ from .free_algebra import (
     relation_rank,
     unused_tags,
 )
-from .pimenov import KERNELS, ParameterSignature, PimenovElement, Scalar, pim_apply, worst_residual
+from .pimenov import KERNELS, ParameterSignature, PimenovElement, pim_apply, worst_residual
 
 N = 3
 NGEN = 9
@@ -45,7 +50,6 @@ FROZEN_QUOTIENT_RANK = {"1,1": 46, "1,n": 44, "n,1": 44, "n,n": 29}
 # The 3x3 generator matrix T has entries built from 9 independent
 # generators sitting at five canonical positions; the other four positions
 # reuse them through the point reflection (a,b) -> (4-a, 4-b).
-CANONICAL_POSITIONS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))
 # (t-generator id, tt-generator id or None) per canonical position
 GEN_AT = {
     (1, 1): (0, 1),
@@ -54,6 +58,12 @@ GEN_AT = {
     (2, 1): (6, 7),
     (2, 2): (8, None),
 }
+# generator id -> (its canonical position, whether it is the tt partner)
+GEN_POSITION = {
+    g: (pos, is_tt) for pos, pair in GEN_AT.items() for is_tt, g in zip((False, True), pair) if g is not None
+}
+# counit images: the generator matrix goes to the identity
+COUNIT = {g: 1.0 if name in ("t11", "t22") else 0.0 for g, name in enumerate(GEN_NAMES)}
 
 # A monomial c * j1^e1 * j2^e2 as (c, e1, e2); None is the zero monomial.
 Mono = "tuple[complex, int, int] | None"
@@ -230,6 +240,24 @@ def qybe_check(R: RMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
+def generator_matrix(at: ParameterSignature, value: Callable[[int], Any]) -> list[list]:
+    """The 3x3 matrix T_ab = value(t) c_ab + value(tt) d_ab, with (t, tt) the
+    generator pair at the canonical image of (a, b) and the coefficient
+    monomials of CD_TABLE evaluated at `at`."""
+    T = []
+    for a in range(1, 4):
+        row = []
+        for b in range(1, 4):
+            c, d = CD_TABLE[(a, b)]
+            gt, gtt = GEN_AT[canonical_position(a, b)]
+            el = value(gt) * mono_eval(at, c)
+            if gtt is not None and d is not None:
+                el = el + value(gtt) * mono_eval(at, d)
+            row.append(el)
+        T.append(row)
+    return T
+
+
 def t_matrix(sig: ParameterSignature, attachments: bool = True) -> list[list[FreeElement]]:
     """3x3 matrix of generator combinations over the 9-letter alphabet.
 
@@ -237,20 +265,8 @@ def t_matrix(sig: ParameterSignature, attachments: bool = True) -> list[list[Fre
     every slot were 1 (used by the contraction-transform cross-check).
     """
     n = sig.n_slots
-    trivial = ParameterSignature.parse(",".join(["1"] * n))
-    at = sig if attachments else trivial
-    T: list[list[FreeElement]] = []
-    for a in range(1, 4):
-        row = []
-        for b in range(1, 4):
-            c, d = CD_TABLE[(a, b)]
-            gt, gtt = GEN_AT[canonical_position(a, b)]
-            el = FreeElement.generator(n, NGEN, gt) * mono_eval(at, c)
-            if gtt is not None and d is not None:
-                el = el + FreeElement.generator(n, NGEN, gtt) * mono_eval(at, d)
-            row.append(el)
-        T.append(row)
-    return T
+    at = sig if attachments else ParameterSignature.parse(",".join(["1"] * n))
+    return generator_matrix(at, lambda g: FreeElement.generator(n, NGEN, g))
 
 
 def _fmat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):
@@ -272,19 +288,15 @@ def _pim_entries(M: DMatrix) -> list[list[PimenovElement]]:
     return [[M.entry(i, j) for j in range(M.size)] for i in range(M.size)]
 
 
-def rtt_relations(R: RMatrix, attachments: bool = True) -> RelationSet:
+def rtt_relations(R: RMatrix, attachments: bool = True) -> tuple[FreeElement, ...]:
     """Entries of R T1 T2 - T2 T1 R: the 81 exchange relations."""
     sig, n = R.sig, R.sig.n_slots
     T = t_matrix(sig, attachments)
-
-    def idx(i: int, k: int) -> int:
-        return 3 * i + k
-
     TT1 = [[None] * 9 for _ in range(9)]
     TT2 = [[None] * 9 for _ in range(9)]
     for i, k, j, l in product(range(3), repeat=4):
-        TT1[idx(i, k)][idx(j, l)] = T[i][j] * T[k][l]
-        TT2[idx(i, k)][idx(j, l)] = T[k][l] * T[i][j]
+        TT1[3 * i + k][3 * j + l] = T[i][j] * T[k][l]
+        TT2[3 * i + k][3 * j + l] = T[k][l] * T[i][j]
     relations = []
     for al in range(9):
         for be in range(9):
@@ -298,10 +310,10 @@ def rtt_relations(R: RMatrix, attachments: bool = True) -> RelationSet:
                     acc = acc - TT2[al][ga] * r2
             if not acc.is_zero():
                 relations.append(acc)
-    return RelationSet(relations, label="exchange")
+    return tuple(relations)
 
 
-def orthogonality_relations(C: CMatrix, attachments: bool = True) -> RelationSet:
+def orthogonality_relations(C: CMatrix, attachments: bool = True) -> tuple[FreeElement, ...]:
     """Entries of T C T^t - C and T^t C T - C (deformed orthogonality)."""
     sig, n = C.sig, C.sig.n_slots
     T = t_matrix(sig, attachments)
@@ -314,18 +326,15 @@ def orthogonality_relations(C: CMatrix, attachments: bool = True) -> RelationSet
                 rel = prod_mat[i][j] - FreeElement.const(n, NGEN, Cp[i][j])
                 if not rel.is_zero():
                     relations.append(rel)
-    return RelationSet(relations, label="orthogonality")
+    return tuple(relations)
 
 
 @lru_cache(maxsize=32)
-def full_relations(sig: ParameterSignature, v: complex, attachments: bool = True) -> RelationSet:
+def full_relations(sig: ParameterSignature, v: complex, attachments: bool = True) -> tuple[FreeElement, ...]:
     """Exchange plus orthogonality relations, built once per (sig, v, attachments)."""
     R = rmatrix3(sig, v)
     C = cmatrix(sig, v)
-    return RelationSet(
-        rtt_relations(R, attachments).relations + orthogonality_relations(C, attachments).relations,
-        label="full",
-    )
+    return rtt_relations(R, attachments) + orthogonality_relations(C, attachments)
 
 
 @lru_cache(maxsize=32)
@@ -345,57 +354,31 @@ def rtt_rank(sig: ParameterSignature, v: complex) -> int:
 
 def counit(x: FreeElement) -> PimenovElement:
     """Algebra map sending the generator matrix to the identity."""
-    out = PimenovElement.scalar(x.n, 0.0)
-    for (mask, word), c in x.terms.items():
-        val = 1.0
-        for g in word:
-            val *= 1.0 if GEN_NAMES[g] in ("t11", "t22") else 0.0
-            if val == 0.0:
-                break
-        if val:
-            out = out + PimenovElement(x.n, {mask: c * val})
-    return out
+    return algebra_map(x, COUNIT, 1.0)
 
 
 def counit_residual(sig: ParameterSignature, v: complex) -> float:
     return worst_residual(counit(r).max_abs() for r in full_relations(sig, v))
 
 
-def _gen_position(g: int) -> tuple[tuple[int, int], bool]:
-    """Canonical position of generator g and whether it is the tt partner."""
-    for pos, (gt, gtt) in GEN_AT.items():
-        if g == gt:
-            return pos, False
-        if g == gtt:
-            return pos, True
-    raise ValueError(f"unknown generator id {g}")
-
-
 def coproduct_generator(sig: ParameterSignature, g: int) -> TensorElement:
-    """Matrix coproduct T -> T (x). T pushed down to a single generator."""
+    """Matrix coproduct T -> T (x). T pushed down to a single generator.
+
+    Of the products in T_ak (x) T_kb, t (x) t and tt (x) tt make up the
+    t-part of T_ab, the mixed ones its tt-part; dividing by that part's
+    coefficient monomial leaves g.
+    """
     n = sig.n_slots
-    (a, b), is_tt = _gen_position(g)
-    c_ab, d_ab = CD_TABLE[(a, b)]
+    (a, b), is_tt = GEN_POSITION[g]
+    den = CD_TABLE[(a, b)][is_tt]
     out = TensorElement.zero(n, NGEN)
     for k in range(1, 4):
-        c_ak, d_ak = CD_TABLE[(a, k)]
-        c_kb, d_kb = CD_TABLE[(k, b)]
-        gt_l, gtt_l = GEN_AT[canonical_position(a, k)]
-        gt_r, gtt_r = GEN_AT[canonical_position(k, b)]
-        if not is_tt:
-            pieces = (
-                (_mono_ratio(_mono_mul(c_ak, c_kb), c_ab), gt_l, gt_r),
-                (_mono_ratio(_mono_mul(d_ak, d_kb), c_ab), gtt_l, gtt_r),
-            )
-        else:
-            pieces = (
-                (_mono_ratio(_mono_mul(c_ak, d_kb), d_ab), gt_l, gtt_r),
-                (_mono_ratio(_mono_mul(d_ak, c_kb), d_ab), gtt_l, gt_r),
-            )
-        for mono, gl, gr in pieces:
-            if mono is None or gl is None or gr is None:
+        left = enumerate(zip(CD_TABLE[(a, k)], GEN_AT[canonical_position(a, k)]))
+        right = enumerate(zip(CD_TABLE[(k, b)], GEN_AT[canonical_position(k, b)]))
+        for (il, (ml, gl)), (ir, (mr, gr)) in product(left, right):
+            if (il ^ ir) != is_tt or gl is None or gr is None:
                 continue
-            coeff = mono_eval(sig, mono)
+            coeff = mono_eval(sig, _mono_ratio(_mono_mul(ml, mr), den))
             if coeff.is_zero():
                 continue
             term = free_tensor(
@@ -413,18 +396,8 @@ def coproduct_table(sig: ParameterSignature) -> dict[int, TensorElement]:
 
 
 def coproduct(sig: ParameterSignature, x: FreeElement) -> TensorElement:
-    """Extend the generator coproduct multiplicatively to words, linearly to x."""
-    n = x.n
-    table = coproduct_table(sig)
-    out = TensorElement.zero(n, NGEN)
-    unit = TensorElement.const(n, NGEN, 1.0)
-    for (mask, word), c in x.terms.items():
-        acc = unit
-        for g in word:
-            acc = acc * table[g]
-        acc = acc * PimenovElement(n, {mask: c})
-        out = out + acc
-    return out
+    """The algebra map that extends the generator coproduct to x."""
+    return algebra_map(x, coproduct_table(sig), TensorElement.const(x.n, NGEN, 1.0))
 
 
 def antipode_matrix(sig: ParameterSignature, v: complex) -> list[list[FreeElement]]:
@@ -509,18 +482,15 @@ _SUBST_EXPONENTS = {
 }
 
 
-def substitute_generators(sig: ParameterSignature, x: FreeElement) -> FreeElement:
-    """Rescale each generator by its contraction j-monomial."""
-    n = x.n
-    out = FreeElement.zero(n, NGEN)
-    for (mask, word), c in x.terms.items():
-        coeff = PimenovElement(n, {mask: c})
-        for g in word:
-            e1, e2 = _SUBST_EXPONENTS[g]
-            coeff = coeff * mono_eval(sig, (1, e1, e2))
-        if not coeff.is_zero():
-            out = out + FreeElement(n, NGEN, {(m, word): cc for m, cc in coeff.coeffs.items()})
-    return out
+def substitute_generators(sig: ParameterSignature, relations: Sequence[FreeElement]) -> list[FreeElement]:
+    """Rescale each generator by its contraction j-monomial, in every relation."""
+    n = sig.n_slots
+    images = {
+        g: FreeElement.generator(n, NGEN, g) * mono_eval(sig, (1, e1, e2))
+        for g, (e1, e2) in _SUBST_EXPONENTS.items()
+    }
+    unit = FreeElement.const(n, NGEN, 1.0)
+    return [algebra_map(r, images, unit) for r in relations]
 
 
 def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
@@ -544,9 +514,7 @@ def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
     """
     n = sig.n_slots
     direct_rel = full_relations(sig, v)
-    substituted_rel = [
-        substitute_generators(sig, r) for r in full_relations(sig, v, attachments=False)
-    ]
+    substituted_rel = substitute_generators(sig, full_relations(sig, v, attachments=False))
     unused = unused_tags([*direct_rel, *substituted_rel], n)
     copies = 1 << unused.bit_count()
     direct = iota_closure(direct_rel, n, unused)
@@ -588,7 +556,7 @@ def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def relations_to_json(rs: RelationSet) -> dict:
+def relations_to_json(rs: Sequence[FreeElement]) -> dict:
     out = []
     for rel in rs:
         terms = []
@@ -606,7 +574,7 @@ def relations_to_json(rs: RelationSet) -> dict:
     return {"relations": out}
 
 
-def relations_from_json(data: dict, n: int) -> RelationSet:
+def relations_from_json(data: dict, n: int) -> tuple[FreeElement, ...]:
     rels = []
     for rel in data["relations"]:
         terms: dict[tuple[int, tuple[int, ...]], complex] = {}
@@ -619,8 +587,8 @@ def relations_from_json(data: dict, n: int) -> RelationSet:
                 t.get("re", 0.0), t.get("im", 0.0)
             )
         rels.append(FreeElement(n, NGEN, terms))
-    return RelationSet(rels, label="ingested")
+    return tuple(rels)
 
 
-def relations_json_str(rs: RelationSet) -> str:
+def relations_json_str(rs: Sequence[FreeElement]) -> str:
     return json.dumps(relations_to_json(rs), sort_keys=True)

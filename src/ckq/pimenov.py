@@ -490,6 +490,8 @@ class _Parser:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def next(self) -> str:
+        if self.i >= len(self.tokens):
+            raise ValueError("unexpected end of expression")
         tok = self.tokens[self.i]
         self.i += 1
         return tok

@@ -231,10 +231,10 @@ def test_criterion_11_dual_algebra():
 
 def test_criterion_12_sow_hopf_suite():
     worst = worst_residual(
-        dual.verify_sow_hopf(sig, dw=8, dx=8)["residual"] for sig in QUANTUM_SIGS
+        dual.verify_sow_hopf(sig, dw=8)["residual"] for sig in QUANTUM_SIGS
     )
     series = [
-        dual.verify_sow_hopf(QUANTUM_SIGS[0], dw=d, dx=d)["residual"]
+        dual.verify_sow_hopf(QUANTUM_SIGS[0], dw=d)["residual"]
         for d in (6, 8, 10)
     ]
     monotone = series[1] <= series[0] + 1e-15 and series[2] <= series[1] + 1e-15

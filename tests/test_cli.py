@@ -38,6 +38,20 @@ def test_pim_eval_bad_expression(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("expr", ["1 +", "", "(1", "2*"])
+def test_pim_eval_truncated_expression_is_usage_error(runner, expr):
+    res = runner.invoke(cli, ["pim", "eval", "--", expr])
+    assert res.exit_code == 2
+    assert "unexpected end of expression" in res.output
+
+
+@pytest.mark.parametrize("expr", ["1e999", "1e308*10", "1e999*i1"])
+def test_pim_eval_non_finite_value_is_usage_error(runner, expr):
+    res = runner.invoke(cli, ["pim", "eval", expr])
+    assert res.exit_code == 2
+    assert "not finite" in res.output
+
+
 # -- ck ---------------------------------------------------------------------
 
 
@@ -60,6 +74,19 @@ def test_ck_orbit_csv_invariant(runner):
     for row in rows[1:]:
         _, x0, x1 = (float(p) for p in row.split(","))
         assert abs(x0 * x0 - x1 * x1 - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["ck", "rotate", "--n", "3", "--j", "1,1", "--plane", "1,2", "--phi", "nan"], "--phi"),
+    (["ck", "rotate", "--n", "3", "--j", "n,1", "--plane", "1,2", "--phi", "inf"], "--phi"),
+    (["ck", "orbit", "--plane", "euclid", "--phi-max", "nan"], "--phi-max"),
+    (["ck", "orbit", "--plane", "euclid", "--from", "inf,1"], "--from"),
+    (["emit", "orbit", "--from", "1,nan"], "--from"),
+])
+def test_non_finite_angle_or_point_is_usage_error(runner, args, flag):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2
+    assert f"{flag} is not finite" in res.output
 
 
 def test_ck_verify_classical(runner):

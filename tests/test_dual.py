@@ -253,14 +253,14 @@ def test_word_commutes_contracted_generators():
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
 def test_sow_hopf(sig_text):
-    rep = dual.verify_sow_hopf(sig_of(sig_text), dw=8, dx=8)
+    rep = dual.verify_sow_hopf(sig_of(sig_text), dw=8)
     assert rep["pass"], rep
     assert rep["residual"] <= 1e-9
 
 
 def test_sow_hopf_residual_non_increasing():
     residuals = [
-        dual.verify_sow_hopf(sig_of("1,1"), dw=d, dx=d)["residual"]
+        dual.verify_sow_hopf(sig_of("1,1"), dw=d)["residual"]
         for d in (6, 8, 10)
     ]
     assert residuals[1] <= residuals[0] + 1e-15

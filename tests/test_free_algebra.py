@@ -7,7 +7,6 @@ from ckq.free_algebra import (
     FreeElement,
     InconsistentIdeal,
     NonTerminatingRules,
-    RelationSet,
     ReductionSystem,
     TensorElement,
     build_reduction,
@@ -76,8 +75,7 @@ def _toy_commutative_rules():
     # x y - q y x = 0 for two generators
     n, G = 1, 2
     rel = gen(1, n, G) * gen(0, n, G) - gen(0, n, G) * gen(1, n, G) * 0.5
-    rs = RelationSet([rel])
-    return build_reduction(rs, n, G)
+    return build_reduction([rel], n, G)
 
 
 def test_build_reduction_toy_system():
@@ -108,14 +106,14 @@ def test_inconsistent_ideal_detected():
     n, G = 1, 2
     one = FreeElement.const(n, G, 1.0)
     with pytest.raises(InconsistentIdeal):
-        build_reduction(RelationSet([one]), n, G)
+        build_reduction([one], n, G)
 
 
 def test_iota_closure_splits_masks():
     n, G = 2, 2
     t1 = PimenovElement.tag(n, 1)
     rel = gen(0, n, G) + gen(1, n, G) * t1
-    closure = iota_closure(RelationSet([rel]), n)
+    closure = iota_closure([rel], n)
     # multiplying by the complementary tags isolates homogeneous layers
     assert len(closure) >= 2
 
@@ -123,7 +121,7 @@ def test_iota_closure_splits_masks():
 def test_relation_rank_counts_independent_rows():
     n, G = 1, 2
     x, y = gen(0, n, G), gen(1, n, G)
-    rels = RelationSet([x * y - y * x, (x * y - y * x) * 2.0, x * x])
+    rels = [x * y - y * x, (x * y - y * x) * 2.0, x * x]
     assert relation_rank(rels) == 2
 
 
