@@ -500,10 +500,11 @@ def _orbit_lines(plane: str, start: str, steps: int, phi_max: float) -> list[str
     except ValueError:
         raise click.UsageError(f"cannot parse start point {start!r}")
     _require_finite("--from", x0, x1)
-    return ["phi,x0,x1"] + [
-        f"{phi:.12g},{a:.12g},{b:.12g}"
-        for phi, a, b in ck.orbit_sample(plane, (x0, x1), np.linspace(0.0, phi_max, steps))
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = ck.orbit_sample(plane, (x0, x1), np.linspace(0.0, phi_max, steps))
+    if not np.isfinite(rows).all():
+        raise click.UsageError(f"the orbit from {start} overflows: a point is not finite")
+    return ["phi,x0,x1"] + [f"{phi:.12g},{a:.12g},{b:.12g}" for phi, a, b in rows]
 
 
 def _pairing_lines(sig_text: str, v_text: str, fmt: str) -> list[str]:

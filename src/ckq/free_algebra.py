@@ -12,11 +12,12 @@ algebra map out of the free algebra is fixed by its generator images, and
 Quadratic relation sets are turned into rewrite rules by viewing their
 tag-closure as a plain complex linear space in the (mask, word) basis and
 row-reducing it: every pivot becomes a rule head, the rest of its row the
-tail.  Reduction of degree <= 3 elements then gives normal forms, and the
-diamond check over all degree-3 words certifies that the quotient algebra is
-well defined.  Tags that no relation carries are factored out: the ideal
-over them is an exact tensor copy of the ideal over the other tags, so the
-pipeline runs on the other tags and ORs the free ones back in.
+tail (`quadratic_reduction`).  `build_reduction` adds degree-3 rules, and
+the diamond check over all tagged degree-3 words certifies that normal
+forms are unique up to degree 3, not beyond.  Tags that no relation carries
+are factored out: the ideal over them is an exact tensor copy of the ideal
+over the other tags, so the pipeline runs on the other tags and ORs the
+free ones back in.
 """
 
 from __future__ import annotations
@@ -529,24 +530,17 @@ def _lift_rules(rules: dict[TermKey, FreeElement], unused: int) -> dict[TermKey,
     return dict(sorted(lifted.items(), key=lambda it: term_order_key(*it[0]), reverse=True))
 
 
-def build_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionSystem:
-    """Turn a degree <= 2 relation set into a rewriting system.
+def quadratic_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionSystem:
+    """Row-reduce the tag closure of a degree <= 2 relation set into rules.
 
-    The tag-closure of the relations is row-reduced into quadratic rules.
-    The system is then completed at degree 3: cubic ideal elements that
-    subword rewriting cannot resolve (see completion_residuals) are
-    row-reduced and adjoined as explicit degree-3 rules until a round adds
-    none, so normal forms of degree <= 3 elements are unique.
-
-    Tags that no relation carries are free: the closure, the residuals and
-    the rules over them are exact copies of those without them.  The
-    elimination and the completion run on the other tags only, and each
-    round's rules are lifted to every free-tag subset; the system normalizes
-    free-tagged terms through the same copies.  The returned system carries
-    a `stats` dict describing the full system over all n tags: closure rows,
-    per-round residual rows and added rules, the round count, the free tags
-    (1-based) and the number of copies, and the pivot ratios closest to
-    PIVOT_THRESHOLD on either side.
+    The system holds the quadratic rules only: words of degree <= 2 meet no
+    cubic head, so they reduce here as in the completion (build_reduction)
+    whenever it adds no rule of degree <= 2.  Tags that no relation carries
+    are free: the elimination runs on the other tags, and the rules are
+    lifted to every free-tag subset.  `stats` describes the full system over
+    all n tags: closure rows, quadratic rules, free tags (1-based), copies,
+    the pivot ratios closest to PIVOT_THRESHOLD on either side, and `keep`,
+    the completion's cut-off for residual entries.
     """
     unused = unused_tags(rs, n)
     copies = 1 << unused.bit_count()
@@ -559,23 +553,40 @@ def build_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionSyste
         "free_tags": [k + 1 for k in range(n) if unused >> k & 1],
         "tag_copies": copies,
         "pivot_threshold": PIVOT_THRESHOLD,
+        "keep": 1e-10 * max(1.0, *(r.max_abs() for r in closure)),
     }
-    compact = _rref_rules(closure, n, G, stats=stats)
-    rules = _lift_rules(compact, unused)
+    rules = _lift_rules(_rref_rules(closure, n, G, stats=stats), unused)
     stats["quadratic_rules"] = len(rules)
+    sys = ReductionSystem(n, G, rules, unused)
+    sys.stats = stats
+    return sys
+
+
+def build_reduction(quadratic: ReductionSystem) -> ReductionSystem:
+    """Complete a quadratic system (see quadratic_reduction) at degree 3.
+
+    Cubic ideal elements that subword rewriting cannot resolve (see
+    completion_residuals) are row-reduced and adjoined as degree-3 rules,
+    lifted to every free-tag subset, until a round adds none, so normal
+    forms of degree <= 3 elements are unique.  The completion starts from a
+    new system and leaves `quadratic` as it was.  Its `stats` extend those
+    of `quadratic` with the residual rows and added rules per round and the
+    round count.
+    """
+    n, G, unused = quadratic.n, quadratic.G, quadratic.unused
+    stats = dict(quadratic.stats)
+    rules = dict(quadratic.rules)
     rounds: list[dict] = []
     sys = ReductionSystem(n, G, rules, unused)
     if rules:
-        quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in compact.items()]
-        scale = max(r.max_abs() for r in closure)
-        keep = 1e-10 * max(scale, 1.0)
+        compact = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items() if not h[0] & unused]
         for _ in range(10):
-            residuals = completion_residuals(sys, quadratic, keep)
+            residuals = completion_residuals(sys, compact, stats["keep"])
             added = {}
             if residuals:
                 new = _rref_rules(residuals, n, G, stats=stats)
                 added = {h: t for h, t in _lift_rules(new, unused).items() if h not in rules}
-            rounds.append({"residual_rows": len(residuals) * copies, "added_rules": len(added)})
+            rounds.append({"residual_rows": len(residuals) * stats["tag_copies"], "added_rules": len(added)})
             if not added:
                 break
             rules.update(added)
@@ -601,6 +612,7 @@ def confluence_check(sys: ReductionSystem) -> dict:
         if not diff <= 1e-9:
             failing.append(word)
     return {
+        "degree": CLOSURE_DEGREE,
         "words_checked": len(per_word),
         "tagged_words_checked": len(per_word) * len(masks),
         "max_discrepancy": worst_residual(per_word),

@@ -10,6 +10,8 @@ The generator matrix is assembled in one place, `generator_matrix`, over
 any values of the nine generators.  The counit, the coproduct and the
 contraction's rescaling are algebra maps given by their generator images
 and extended by `free_algebra.algebra_map`.  Relation sets are tuples.
+`quadratic_system` holds the quadratic rules that the degree-2 Hopf checks
+read; `reduction_system` completes them at degree 3 for the confluence check.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .free_algebra import (
     free_tensor,
     iota_closure,
     numeric_rank,
+    quadratic_reduction,
     relation_rank,
     unused_tags,
 )
@@ -338,8 +341,16 @@ def full_relations(sig: ParameterSignature, v: complex, attachments: bool = True
 
 
 @lru_cache(maxsize=32)
+def quadratic_system(sig: ParameterSignature, v: complex) -> ReductionSystem:
+    """The quadratic rules of the relations, not completed: enough to reduce
+    elements of degree <= 2 (per tensor bank), which meet no cubic head."""
+    return quadratic_reduction(full_relations(sig, v), sig.n_slots, NGEN)
+
+
+@lru_cache(maxsize=32)
 def reduction_system(sig: ParameterSignature, v: complex) -> ReductionSystem:
-    return build_reduction(full_relations(sig, v), sig.n_slots, NGEN)
+    """The quadratic system completed at degree 3, for the confluence check."""
+    return build_reduction(quadratic_system(sig, v))
 
 
 def rtt_rank(sig: ParameterSignature, v: complex) -> int:
@@ -411,9 +422,9 @@ def antipode_matrix(sig: ParameterSignature, v: complex) -> list[list[FreeElemen
 
 
 def antipode_check(sig: ParameterSignature, v: complex) -> dict:
-    """Reduce S(T)T - I and T S(T) - I modulo the relation ideal."""
+    """Reduce S(T)T - I and T S(T) - I modulo the quadratic rules (degree 2)."""
     n = sig.n_slots
-    sys = reduction_system(sig, v)
+    sys = quadratic_system(sig, v)
     T = t_matrix(sig)
     ST = antipode_matrix(sig, v)
     residuals = []
@@ -426,20 +437,22 @@ def antipode_check(sig: ParameterSignature, v: complex) -> dict:
                 residuals.append(res)
                 if not res <= 1e-9:
                     failures.append((label, i + 1, j + 1, res))
-    return {"residual": worst_residual(residuals), "failures": failures, "pass": not failures}
+    return {"residual": worst_residual(residuals), "failures": failures, "pass": not failures,
+            "degree": 2, "rules": len(sys)}
 
 
 def coproduct_compatibility(sig: ParameterSignature, v: complex) -> dict:
     """Delta(relation) must reduce to 0 in the tensor square.
 
-    Delta and the tensor reduction are both C-linear, so each (mask, word)
-    basis term that occurs in the relations is mapped and reduced once, kept
-    as coefficient arrays over a shared tensor-term index, and each relation's
-    reduced image is the sum of its terms' images.  `stats` counts the
-    relations and the distinct basis terms.
+    Each bank of Delta(relation) has degree <= 2, so the quadratic rules
+    reduce it.  Delta and the tensor reduction are both C-linear, so each
+    (mask, word) basis term that occurs in the relations is mapped and
+    reduced once, kept as coefficient arrays over a shared tensor-term
+    index, and each relation's reduced image is the sum of its terms'
+    images.  `stats` counts the relations and the distinct basis terms.
     """
     n = sig.n_slots
-    sys = reduction_system(sig, v)
+    sys = quadratic_system(sig, v)
     relations = full_relations(sig, v)
     columns: dict = {}
     images = {}
@@ -459,6 +472,7 @@ def coproduct_compatibility(sig: ParameterSignature, v: complex) -> dict:
         "residual": worst_residual(residuals),
         "failures": failures,
         "pass": not failures,
+        "degree": 2, "rules": len(sys),
         "stats": {"relations": len(relations), "basis_terms": len(images)},
     }
 

@@ -1,16 +1,13 @@
 """Acceptance gate: thirteen criteria, one test (and one printed pass/fail
 line) per criterion, each at its stated tolerance."""
 
-import cmath
 import sys
 
 import numpy as np
-import pytest
 
 from ckq import ck_classical as ck
 from ckq import dual, frt
-from ckq.dmat import DMatrix
-from ckq.free_algebra import confluence_check, relation_rank
+from ckq.free_algebra import confluence_check
 from ckq.frt import FROZEN_QUOTIENT_RANK
 from ckq.pimenov import KERNELS, ParameterSignature, PimenovElement, pim_apply, worst_residual
 

@@ -89,6 +89,17 @@ def test_non_finite_angle_or_point_is_usage_error(runner, args, flag):
     assert f"{flag} is not finite" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["ck", "orbit", "--plane", "minkowski", "--from", "1e308,1e308", "--phi-max", "1", "--steps", "2"],
+    ["emit", "orbit", "--plane", "minkowski", "--from", "1e308,1e308", "--steps", "3"],
+])
+def test_overflowing_orbit_is_usage_error(runner, args):
+    # finite input whose rotated points overflow to inf
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert "overflows" in res.output and ",inf" not in res.output
+
+
 def test_ck_verify_classical(runner):
     res = runner.invoke(cli, ["ck", "verify", "classical", "--n", "4"])
     assert res.exit_code == 0
@@ -195,6 +206,18 @@ def test_frt_verify_computes_only_the_requested_check(runner, monkeypatch):
     assert res.exit_code == 0, res.output
     (report,) = [json.loads(ln) for ln in lines_of(res)]
     assert report["check"] == "frt.contraction" and report["pass"]
+
+
+@pytest.mark.parametrize("check", ["antipode", "coproduct"])
+def test_frt_degree_two_checks_need_no_completion(runner, monkeypatch, check):
+    def no_completion(sig, v):
+        raise AssertionError(f"the {check} check reads only the quadratic rules")
+
+    monkeypatch.setattr(frt, "reduction_system", no_completion)
+    res = runner.invoke(cli, ["frt", "verify", check, "--j", "1,1", "--v", "0.43-0.21i"])
+    assert res.exit_code == 0, res.output
+    (report,) = [json.loads(ln) for ln in lines_of(res)]
+    assert report["check"] == f"frt.{check}" and report["pass"]
 
 
 # -- dual -------------------------------------------------------------------

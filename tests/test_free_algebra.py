@@ -1,6 +1,5 @@
 """Tests for the free-algebra term order, row reduction and rewriting."""
 
-import numpy as np
 import pytest
 
 from ckq.free_algebra import (
@@ -13,6 +12,7 @@ from ckq.free_algebra import (
     confluence_check,
     free_tensor,
     iota_closure,
+    quadratic_reduction,
     relation_rank,
     term_order_key,
 )
@@ -75,7 +75,7 @@ def _toy_commutative_rules():
     # x y - q y x = 0 for two generators
     n, G = 1, 2
     rel = gen(1, n, G) * gen(0, n, G) - gen(0, n, G) * gen(1, n, G) * 0.5
-    return build_reduction([rel], n, G)
+    return build_reduction(quadratic_reduction([rel], n, G))
 
 
 def test_build_reduction_toy_system():
@@ -106,7 +106,7 @@ def test_inconsistent_ideal_detected():
     n, G = 1, 2
     one = FreeElement.const(n, G, 1.0)
     with pytest.raises(InconsistentIdeal):
-        build_reduction([one], n, G)
+        quadratic_reduction([one], n, G)
 
 
 def test_iota_closure_splits_masks():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckq import frt
-from ckq.dmat import DMatrix
 from ckq.free_algebra import (
     PIVOT_THRESHOLD,
     FreeElement,
@@ -18,6 +17,7 @@ from ckq.free_algebra import (
     coefficient_matrix,
     confluence_check,
     iota_closure,
+    quadratic_reduction,
     relation_rank,
 )
 from ckq.frt import FROZEN_QUOTIENT_RANK
@@ -115,6 +115,7 @@ def test_confluence_all_words(sig_text):
     assert rep["tagged_words_checked"] == 9**3 * 4  # every tag mask of D_2
     assert rep["confluent"], rep["failing_words"][:5]
     assert rep["max_discrepancy"] <= 1e-9
+    assert rep["degree"] == 3
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
@@ -151,6 +152,8 @@ def test_antipode(sig_text):
     rep = frt.antipode_check(sig_of(sig_text), 0.37)
     assert rep["pass"], rep
     assert rep["residual"] <= 1e-9
+    # certified at degree 2, by the quadratic rules (one per closure rank)
+    assert rep["degree"] == 2 and rep["rules"] == CONTRACTION_RANK[sig_text]
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
@@ -158,6 +161,7 @@ def test_coproduct_compatible_with_relations(sig_text):
     rep = frt.coproduct_compatibility(sig_of(sig_text), 0.37)
     assert rep["pass"], rep
     assert rep["residual"] <= 1e-9
+    assert rep["degree"] == 2 and rep["rules"] == CONTRACTION_RANK[sig_text]
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
@@ -181,7 +185,7 @@ def test_coproduct_check_equals_whole_relation_reference(sig_text, v):
 @pytest.mark.parametrize("perturbation", ["new word", "scaled term"])
 def test_coproduct_check_flags_a_perturbed_relation(sig_text, perturbation, monkeypatch):
     sig, v, k = sig_of(sig_text), 0.37, 17
-    frt.reduction_system(sig, v)  # the quotient stays that of the true relations
+    frt.quadratic_system(sig, v)  # the quotient stays that of the true relations
     relations = list(frt.full_relations(sig, v))
     rel = relations[k]
     if perturbation == "new word":
@@ -298,8 +302,8 @@ def test_contraction_agrees_with_mutual_reduction(wrong_exponent, monkeypatch):
     sig = sig_of("n,n")
     direct = list(frt.full_relations(sig, 0.37))
     substituted = frt.substitute_generators(sig, frt.full_relations(sig, 0.37, attachments=False))
-    sys_direct = build_reduction(direct, sig.n_slots, frt.NGEN)
-    sys_substituted = build_reduction(substituted, sig.n_slots, frt.NGEN)
+    sys_direct = build_reduction(quadratic_reduction(direct, sig.n_slots, frt.NGEN))
+    sys_substituted = build_reduction(quadratic_reduction(substituted, sig.n_slots, frt.NGEN))
     mutual = worst_residual(
         [sys_direct.reduce(r).max_abs() for r in substituted]
         + [sys_substituted.reduce(r).max_abs() for r in direct]

@@ -23,6 +23,7 @@ from ckq.free_algebra import (
     completion_residuals,
     confluence_check,
     iota_closure,
+    quadratic_reduction,
     unused_tags,
 )
 from ckq.pimenov import ParameterSignature
@@ -41,6 +42,11 @@ FREE_TAGS = {"1,1": [1, 2], "1,n": [1], "n,1": [2], "n,n": []}
 # the stats that describe the full system; the pivot ratios come from the
 # compact elimination and may differ where equal-magnitude pivots tie
 STRUCTURAL_STATS = ("closure_rows", "quadratic_rules", "rounds", "completion_rounds", "pivot_threshold")
+
+
+def complete(rs, n, G):
+    """Both stages of the quotient build of a relation set."""
+    return build_reduction(quadratic_reduction(rs, n, G))
 
 
 def assert_same_rules(got, want, tol=1e-12):
@@ -152,7 +158,7 @@ def test_rref_row_keeps_its_own_scale_after_a_swap():
 @settings(max_examples=6, deadline=None)
 def test_rule_counts_on_v_disc(sig_text, r, phase):
     sig = ParameterSignature.parse(sig_text)
-    system = build_reduction(frt.full_relations(sig, cmath.rect(r, phase)), sig.n_slots, G)
+    system = complete(frt.full_relations(sig, cmath.rect(r, phase)), sig.n_slots, G)
     assert len(system) == FROZEN_RULES[sig_text]
     rep = confluence_check(system)
     assert rep["confluent"] and rep["max_discrepancy"] <= 1e-9
@@ -169,6 +175,46 @@ def test_build_reduction_reports_stats():
     assert stats["max_rejected_pivot_ratio"] < PIVOT_THRESHOLD < stats["min_accepted_pivot_ratio"]
 
 
+def assert_completion_keeps_quadratic_rules(sig, v):
+    # the degree <= 2 rules of the completed system are exactly the
+    # quadratic system's: the same heads in the same order, equal tails
+    completed = frt.reduction_system(sig, v)
+    quadratic = frt.quadratic_system(sig, v)
+    low = {h: t for h, t in completed.rules.items() if len(h[1]) <= 2}
+    assert list(low) == list(quadratic.rules)
+    assert all(low[h].terms == t.terms for h, t in quadratic.rules.items())
+    assert len(completed) > len(quadratic) == quadratic.stats["quadratic_rules"]
+    return quadratic
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_completion_keeps_the_quadratic_rules(sig_text):
+    for v in V_SAMPLES:
+        assert_completion_keeps_quadratic_rules(ParameterSignature.parse(sig_text), v)
+
+
+@given(
+    sig_text=st.sampled_from(QUANTUM_SIGS),
+    r=st.floats(0.02, 0.9),
+    phase=st.floats(0.0, 2 * cmath.pi),
+)
+@settings(max_examples=6, deadline=None)
+def test_completion_keeps_the_quadratic_rules_on_v_disc(sig_text, r, phase):
+    v = cmath.rect(r, phase)
+    quadratic = assert_completion_keeps_quadratic_rules(ParameterSignature.parse(sig_text), v)
+    assert quadratic._memo == {"left": {}, "right": {}}
+
+
+def test_completion_leaves_its_input_untouched():
+    sig = ParameterSignature.parse("n,n")
+    quadratic = quadratic_reduction(frt.full_relations(sig, 0.37), sig.n_slots, G)
+    rules, stats = dict(quadratic.rules), dict(quadratic.stats)
+    completed = build_reduction(quadratic)
+    assert quadratic._memo == {"left": {}, "right": {}}
+    assert quadratic.rules == rules and quadratic.stats == stats
+    assert completed.stats["completion_rounds"] == 2 and "rounds" not in stats
+
+
 def assert_same_build(got, want, tol=1e-12):
     assert_same_rules(got.rules, want.rules, tol)
     for key in STRUCTURAL_STATS:
@@ -182,7 +228,7 @@ def test_factored_build_matches_reference(sig_text):
     sig = ParameterSignature.parse(sig_text)
     for v in V_SAMPLES:
         rs = frt.full_relations(sig, v)
-        system = build_reduction(rs, sig.n_slots, G)
+        system = complete(rs, sig.n_slots, G)
         assert_same_build(system, reference_build_reduction(rs, sig.n_slots, G))
         assert len(system) == FROZEN_RULES[sig_text]
         assert system.stats["free_tags"] == FREE_TAGS[sig_text]
@@ -250,7 +296,7 @@ def _build_or_error(build, rels):
 @settings(max_examples=40, deadline=None)
 def test_factored_build_matches_reference_on_random_relations(rels):
     # relations over n = 3 tags that use none, some or all of them
-    got = _build_or_error(build_reduction, rels)
+    got = _build_or_error(complete, rels)
     want = _build_or_error(reference_build_reduction, rels)
     if isinstance(want, type):
         assert got is want
