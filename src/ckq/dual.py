@@ -52,16 +52,23 @@ class DualFunctionals:
         """3x3 value matrix of the (i, j) functional, eps in {'+', '-'}.
 
         Entry (k, l) is the pairing of the functional with the (k, l)
-        entry of the generator matrix.
+        entry of the generator matrix: the window of rows 3(i-1)..3i-1 and
+        columns 3(j-1)..3j-1 of each block of the 9x9 table.  All-zero
+        windows are dropped; the masks come in the order that assembling
+        the entries one by one gives (`DMatrix.from_entries`): by the first
+        nonzero entry in row-major order, then by the block order of R.
         """
         R = self.rp if eps == "+" else self.rm
-        n = self.sig.n_slots
-        # (i,k) is the row index and (j,l) the column index of the 9x9 table
-        ents = [
-            [R.entry(3 * (i - 1) + k, 3 * (j - 1) + l) for l in range(3)]
-            for k in range(3)
-        ]
-        return DMatrix.from_entries(n, ents)
+        r, c = 3 * (i - 1), 3 * (j - 1)
+        windows = []
+        for mask, block in R.blocks.items():
+            win = block[r : r + 3, c : c + 3].copy()
+            win[win == 0] = 0  # a zero entry is a +0j there, whatever its signs here
+            nonzero = np.flatnonzero(win)
+            if nonzero.size:
+                windows.append((nonzero[0], mask, win))
+        windows.sort(key=lambda t: t[0])  # stable: ties keep the block order
+        return DMatrix(self.sig.n_slots, 3, {mask: win for _, mask, win in windows})
 
 
 def build_functionals(sig: ParameterSignature, v: complex) -> DualFunctionals:
@@ -634,23 +641,23 @@ class SowAlgebra:
             terms[(gkey, (0, k, 0))] = self.w_mono(k, 0.5**k / math.factorial(k))
         return SowTensor2(self, terms)
 
-    def _word_image(
-        self, key: Key, unit: "SowElement", image: Callable[[str], "SowElement"], reverse: bool = False
-    ) -> "SowElement":
-        """unit times image(letter) along the word X01^a X02^m X12^b of key
-        (along the reversed word if reverse), multiplied in from the right."""
-        a, m, b = key
-        letters = ["X01"] * a + ["X02"] * m + ["X12"] * b
-        out = unit
-        for nm in reversed(letters) if reverse else letters:
-            out = out * image(nm)
-        return out
-
     def delta_mono(self, key: Key) -> dict[tuple[Key, Key], np.ndarray]:
+        """Delta of the monomial X01^a X02^m X12^b: Delta of the monomial one
+        letter shorter (memoized) times Delta of its last letter."""
         hit = self._delta_memo.get(key)
         if hit is None:
-            unit = SowTensor2(self, self._unit_map(((0, 0, 0), (0, 0, 0))))
-            hit = self._delta_memo[key] = self._word_image(key, unit, self.delta_gen).terms
+            a, m, b = key
+            if key == (0, 0, 0):
+                hit = self._unit_map((key, key))
+            else:
+                if b:
+                    prefix, last = (a, m, b - 1), "X12"
+                elif m:
+                    prefix, last = (a, m - 1, 0), "X02"
+                else:
+                    prefix, last = (a - 1, 0, 0), "X01"
+                hit = (SowTensor2(self, self.delta_mono(prefix)) * self.delta_gen(last)).terms
+            self._delta_memo[key] = hit
         return hit
 
     def delta(self, x: "SowElement") -> "SowTensor2":
@@ -672,9 +679,22 @@ class SowAlgebra:
         )
 
     def antipode_mono(self, key: Key) -> "SowElement":
+        """S of the monomial X01^a X02^m X12^b, an anti-homomorphism: S of the
+        monomial without its first letter (memoized) times S of that letter."""
         hit = self._antipode_memo.get(key)
         if hit is None:
-            hit = self._antipode_memo[key] = self._word_image(key, self.one(), self.antipode_gen, reverse=True)
+            a, m, b = key
+            if key == (0, 0, 0):
+                hit = self.one()
+            else:
+                if a:
+                    rest, first = (a - 1, m, b), "X01"
+                elif m:
+                    rest, first = (0, m - 1, b), "X02"
+                else:
+                    rest, first = (0, 0, b - 1), "X12"
+                hit = self.antipode_mono(rest) * self.antipode_gen(first)
+            self._antipode_memo[key] = hit
         return hit
 
     def antipode(self, x: "SowElement") -> "SowElement":

@@ -475,9 +475,10 @@ def completion_residuals(
 ) -> list[FreeElement]:
     """Cubic ideal elements the current rules leave unresolved.
 
-    These are the reduced products g*r and r*g over the generators g and
-    the quadratic rules r (head - tail), and the left-minus-right normal
-    form of every tagged degree-3 word; entries of size <= keep are dropped.
+    These are the products g*r and r*g over the generators g and the
+    quadratic rules r (head - tail), reduced term by term as they are
+    formed, and the left-minus-right normal form of every tagged degree-3
+    word; entries of size <= keep are dropped.
     The quadratic rules span the same complex space as the tag closure of
     the relations, so their products span the same cubic part of the ideal.
     Masks holding free tags of the system are skipped: their diamonds are
@@ -485,11 +486,16 @@ def completion_residuals(
     """
     n, G = sys.n, sys.G
     out: list[FreeElement] = []
-    gens = [FreeElement.generator(n, G, g) for g in range(G)]
+    one = 1.0 + 0j  # the generator's coefficient, multiplied in on its side
     for r in quadratic:
-        for gx in gens:
-            for prod in (gx * r, r * gx):
-                red = sys.reduce(prod)
+        for g in range(G):
+            for left in (True, False):
+                acc: dict[TermKey, complex] = {}
+                for (mask, word), c in r.terms.items():
+                    gc, gword = (one * c, (g, *word)) if left else (c * one, (*word, g))
+                    for k, c2 in sys._nf(mask, gword, "left").items():
+                        acc[k] = acc.get(k, 0j) + gc * c2
+                red = FreeElement(n, G, acc)
                 if red.max_abs() > keep:
                     out.append(red)
     for word in product(range(G), repeat=CLOSURE_DEGREE):

@@ -333,11 +333,16 @@ def orthogonality_relations(C: CMatrix, attachments: bool = True) -> tuple[FreeE
 
 
 @lru_cache(maxsize=32)
+def exchange_relations(sig: ParameterSignature, v: complex, attachments: bool) -> tuple[FreeElement, ...]:
+    """The RTT exchange relations, built once per (sig, v, attachments): the
+    first part of `full_relations` and the input of `rtt_rank`."""
+    return rtt_relations(rmatrix3(sig, v), attachments)
+
+
+@lru_cache(maxsize=32)
 def full_relations(sig: ParameterSignature, v: complex, attachments: bool = True) -> tuple[FreeElement, ...]:
     """Exchange plus orthogonality relations, built once per (sig, v, attachments)."""
-    R = rmatrix3(sig, v)
-    C = cmatrix(sig, v)
-    return rtt_relations(R, attachments) + orthogonality_relations(C, attachments)
+    return exchange_relations(sig, v, attachments) + orthogonality_relations(cmatrix(sig, v), attachments)
 
 
 @lru_cache(maxsize=32)
@@ -355,7 +360,7 @@ def reduction_system(sig: ParameterSignature, v: complex) -> ReductionSystem:
 
 def rtt_rank(sig: ParameterSignature, v: complex) -> int:
     """Independent count of the degree-2 exchange relations (rank oracle)."""
-    return relation_rank(rtt_relations(rmatrix3(sig, v)))
+    return relation_rank(exchange_relations(sig, v, True))
 
 
 # ---------------------------------------------------------------------------

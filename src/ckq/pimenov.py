@@ -6,7 +6,11 @@ are encoded as bitmasks over the tags, so an element is just a sparse map
 ``bitmask -> complex``.  The nilpotent structure is tracked exactly: a
 product term whose tag sets overlap is dropped outright, never rounded.
 `tag_product` is the one place that rule lives; the matrices of `dmat`
-multiply through it too.
+multiply through it too.  For a dense right operand it walks, per mask of
+the left one, only the disjoint masks, so two dense elements over n tags
+cost 3^n products and lookups, not 4^n pair tests; its sums and key order
+are those of the plain pair scan.  Inverses split off one tag at a time
+(x = A + B*t gives 1/x = 1/A - (1/A)*B*(1/A)*t), about 3^n pair products.
 
 The module also provides
 
@@ -48,6 +52,20 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def _support(masks: Iterable[int]) -> int:
+    """The union of the masks: every tag they carry."""
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+# Up to this many entries in b (any operand over at most 3 tags) the plain
+# scan of b stays: walking subsets would save little there, and its
+# bookkeeping would slow the many small products of frt, dual and DMatrix.
+_SCAN_MAX = 8
+
+
 def tag_product(
     a: Mapping[int, Any], b: Mapping[int, Any], mul: Callable[[Any, Any], Any] = operator.mul
 ) -> dict[int, Any]:
@@ -57,17 +75,61 @@ def tag_product(
     tag squares to zero, so a pair whose masks overlap contributes nothing.
     Values are whatever mul combines and + adds (scalars, numpy blocks,
     w-series); each mask starts from its first contribution as is and adds
-    the rest in the iteration order of a, then b.
+    the rest in the iteration order of a, and the masks of the result come
+    in the order of their first contributions, by position in a, then in b.
+
+    For a mask m1 of a, only the masks of b inside the free tags (those b
+    uses, minus m1) can contribute.  When b has more entries than the free
+    tags have subsets, the row walks those subsets and looks each one up in
+    b, so two dense operands over n tags cost 3^n lookups, not 4^n.  Each
+    output mask gets at most one contribution per row (its partner in b is
+    m ^ m1), so the sums do not depend on the walk; the result's key order
+    is restored by sorting on the first contributions.
     """
     out: dict[int, Any] = {}
-    for m1, x in a.items():
-        for m2, y in b.items():
-            if m1 & m2:
-                continue
-            m = m1 | m2
-            p = mul(x, y)
-            out[m] = out[m] + p if m in out else p
-    return out
+    if len(b) <= _SCAN_MAX:
+        for m1, x in a.items():
+            for m2, y in b.items():
+                if m1 & m2:
+                    continue
+                m = m1 | m2
+                p = mul(x, y)
+                out[m] = out[m] + p if m in out else p
+        return out
+    used = _support(b)
+    where = {m2: (j, y) for j, (m2, y) in enumerate(b.items())}
+    first: list[tuple[int, int, int]] = []  # (position in a, in b, mask) of each new mask
+    for i, (m1, x) in enumerate(a.items()):
+        free = used & ~m1
+        if 1 << free.bit_count() < len(b):
+            s = free
+            while True:
+                hit = where.get(s)
+                if hit is not None:
+                    j, y = hit
+                    m = m1 | s
+                    p = mul(x, y)
+                    if m in out:
+                        out[m] = out[m] + p
+                    else:
+                        out[m] = p
+                        first.append((i, j, m))
+                if not s:
+                    break
+                s = (s - 1) & free
+        else:
+            for m2, (j, y) in where.items():
+                if m1 & m2:
+                    continue
+                m = m1 | m2
+                p = mul(x, y)
+                if m in out:
+                    out[m] = out[m] + p
+                else:
+                    out[m] = p
+                    first.append((i, j, m))
+    first.sort()
+    return {m: out[m] for _, _, m in first}
 
 
 def worst_residual(values: Iterable[float]) -> float:
@@ -177,19 +239,11 @@ class PimenovElement:
     __rmul__ = __mul__
 
     def inv(self) -> "PimenovElement":
-        a0 = self.scalar_part
-        if a0 == 0:
+        if self.scalar_part == 0:
             raise NotInvertible("scalar part is zero; division is undefined")
-        # a = a0*(1 - m) with m nilpotent, so 1/a = (1/a0) * sum m^k.
-        m = self.nil_part() * (-1.0 / a0)
-        acc = PimenovElement.unit(self.n)
-        term = PimenovElement.unit(self.n)
-        for _ in range(self.n):
-            term = term * m
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc * (1.0 / a0)
+        # 0j + c clears the -0.0 parts the negated corrections carry
+        out = _inverse(self.coeffs, _support(self.coeffs))
+        return PimenovElement(self.n, {m: 0j + c for m, c in out.items()})
 
     def __truediv__(self, other: "PimenovElement | Scalar") -> "PimenovElement":
         return self * _coerce(other, self.n).inv()
@@ -214,6 +268,31 @@ class PimenovElement:
 
     def __repr__(self) -> str:
         return f"PimenovElement({self.n}, {format_element(self)!r})"
+
+
+def _inverse(coeffs: Mapping[int, complex], tags: int) -> dict[int, complex]:
+    """1/x over the tags in `tags`, split on the lowest one, t.
+
+    x = A + B*t with A and B free of t gives 1/x = 1/A - (1/A)*B*(1/A)*t,
+    since t^2 = 0; 1/A recurses on the other tags, down to 1/x0.  At n tags
+    that is about 3^n pair products, where a geometric series in the
+    nilpotent part takes up to n whole-element products.
+    """
+    if not tags:
+        return {0: 1.0 / coeffs[0]}
+    t = tags & -tags
+    low: dict[int, complex] = {}
+    high: dict[int, complex] = {}
+    for m, c in coeffs.items():
+        if m & t:
+            high[m ^ t] = c
+        else:
+            low[m] = c
+    inv_low = _inverse(low, tags ^ t)
+    if not high:
+        return inv_low
+    corr = tag_product(tag_product(inv_low, high), inv_low)
+    return {**inv_low, **{m | t: -c for m, c in corr.items()}}
 
 
 def _coerce(value: "PimenovElement | Scalar", n: int) -> PimenovElement:
@@ -316,9 +395,7 @@ def pim_apply(f: AnalyticKernel, a: PimenovElement) -> PimenovElement:
 
 def a_subsets(a: PimenovElement) -> list[int]:
     """All nonempty tag subsets reachable from the nilpotent support of a."""
-    support = 0
-    for m in a.coeffs:
-        support |= m
+    support = _support(a.coeffs)
     subs = []
     s = support
     while s:

@@ -16,13 +16,17 @@ that replays every letter push from the unit.  The Hopf-check oracles keep
 the coproduct check that maps and reduces every relation whole, with the
 tensor reduction that repeats full passes until one rewrites nothing, and
 the deformed-algebra products that take one ser_mul per term pair and per
-contribution.
+contribution.  The D_n oracles keep the product that scans every pair of
+masks and skips the overlapping ones, the inverse as a geometric series in
+the nilpotent part, the functional slices assembled entry by entry, and
+the Hopf images of monomials multiplied letter by letter from the unit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -42,7 +46,64 @@ from ckq.free_algebra import (
     iota_closure,
     term_order_key,
 )
+from ckq.dmat import DMatrix
 from ckq.pimenov import AnalyticKernel, PimenovElement, _popcount, a_subsets, worst_residual
+
+# ---------------------------------------------------------------------------
+# D_n product, inverse and slice oracles
+# ---------------------------------------------------------------------------
+
+
+def reference_tag_product(a, b, mul=operator.mul):
+    """mul(a[m1], b[m2]) summed at m1 | m2 over every pair of disjoint masks."""
+    out = {}
+    for m1, x in a.items():
+        for m2, y in b.items():
+            if m1 & m2:
+                continue
+            m = m1 | m2
+            p = mul(x, y)
+            out[m] = out[m] + p if m in out else p
+    return out
+
+
+def geometric_inverse(a: PimenovElement) -> PimenovElement:
+    """1/a = (1/a0) * sum_k m^k with a = a0*(1 - m), m nilpotent (m^(n+1) = 0)."""
+    a0 = a.scalar_part
+    m = a.nil_part() * (-1.0 / a0)
+    acc = PimenovElement.unit(a.n)
+    term = PimenovElement.unit(a.n)
+    for _ in range(a.n):
+        term = term * m
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc * (1.0 / a0)
+
+
+def assembled_slice(f, i, j, eps):
+    """The (i, j) functional's 3x3 value matrix, built entry by entry."""
+    R = f.rp if eps == "+" else f.rm
+    ents = [[R.entry(3 * (i - 1) + k, 3 * (j - 1) + l) for l in range(3)] for k in range(3)]
+    return DMatrix.from_entries(f.sig.n_slots, ents)
+
+
+def word_delta_mono(alg, key):
+    """Delta of X01^a X02^m X12^b: the unit times Delta of each letter, left to right."""
+    a, m, b = key
+    out = dual.SowTensor2(alg, alg._unit_map(((0, 0, 0), (0, 0, 0))))
+    for name in ["X01"] * a + ["X02"] * m + ["X12"] * b:
+        out = out * alg.delta_gen(name)
+    return out.terms
+
+
+def word_antipode_mono(alg, key):
+    """S of X01^a X02^m X12^b: the unit times S of each letter, last letter first."""
+    a, m, b = key
+    out = alg.one()
+    for name in reversed(["X01"] * a + ["X02"] * m + ["X12"] * b):
+        out = out * alg.antipode_gen(name)
+    return out
 
 # ---------------------------------------------------------------------------
 # Grassmann (exterior algebra) oracle

@@ -2,6 +2,8 @@
 identities, commutators, the deformed rotation algebra and the duality
 substitution."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,14 @@ from hypothesis import strategies as st
 from ckq import dual
 from ckq.dmat import DMatrix
 from ckq.pimenov import ParameterSignature
-from oracles import reference_sow_mul, reference_tensor2_mul, replay_mono_mul
+from oracles import (
+    assembled_slice,
+    reference_sow_mul,
+    reference_tensor2_mul,
+    replay_mono_mul,
+    word_antipode_mono,
+    word_delta_mono,
+)
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
@@ -38,6 +47,39 @@ def test_diagonal_slices_inverse_pair():
     f = dual.build_functionals(sig_of("1,n"), 0.37)
     I = DMatrix.identity(2, 3)
     assert (f.slice(1, 1, "+") @ f.slice(1, 1, "-") - I).max_abs() <= 1e-12
+
+
+def assert_same_bits(got, want):
+    """The same keys in the same order, with bit-identical arrays."""
+    assert list(got) == list(want)
+    for k, w in want.items():
+        assert got[k].tobytes() == w.tobytes(), k
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_slices_equal_the_entrywise_assembly(sig_text):
+    for v in V_SAMPLES:
+        f = dual.build_functionals(sig_of(sig_text), v)
+        for i, j, eps in product(range(1, 4), range(1, 4), "+-"):
+            assert_same_bits(f.slice(i, j, eps).blocks, assembled_slice(f, i, j, eps).blocks)
+
+
+def test_slices_of_sparse_tables_keep_the_entrywise_mask_order():
+    # masks in a random order, windows whose first nonzero entries come in
+    # another order, and exact zeros of both signs
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        tables = []
+        for _ in range(2):
+            blocks = {}
+            for m in rng.permutation(4):
+                block = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+                block[rng.random((9, 9)) < 0.8] = complex(-0.0, -0.0)
+                blocks[int(m)] = block
+            tables.append(DMatrix(2, 9, blocks))
+        f = dual.DualFunctionals(sig_of("n,n"), 0.37, *tables)
+        for i, j, eps in product(range(1, 4), range(1, 4), "+-"):
+            assert_same_bits(f.slice(i, j, eps).blocks, assembled_slice(f, i, j, eps).blocks)
 
 
 # -- pairing table ----------------------------------------------------------
@@ -131,6 +173,16 @@ def test_mono_mul_equals_letter_replay(sig_text):
 
 
 MONO_KEYS = [(a, m, b) for a in range(3) for m in range(4) for b in range(3)]
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "n,n"])
+def test_monomial_hopf_images_equal_letter_by_letter_products(sig_text):
+    # each image extends its memoized neighbour one letter shorter: the same
+    # products, in the same order, as multiplying every letter in from the unit
+    alg = dual.SowAlgebra(sig_of(sig_text), dw=4)
+    for key in MONO_KEYS:
+        assert_same_bits(alg.delta_mono(key), word_delta_mono(alg, key))
+        assert_same_bits(alg.antipode_mono(key).terms, word_antipode_mono(alg, key).terms)
 
 
 def random_series(rng, alg):

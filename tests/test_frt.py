@@ -323,6 +323,15 @@ def test_full_relations_built_once_and_immutable():
     assert isinstance(rs, tuple)
 
 
+def test_rank_reuses_the_exchange_relations(monkeypatch):
+    sig = sig_of("n,1")
+    rs = frt.full_relations(sig, 0.41)
+    exchange = frt.exchange_relations(sig, 0.41, True)
+    assert rs[: len(exchange)] == exchange
+    monkeypatch.setattr(frt, "rtt_relations", lambda *args: pytest.fail("exchange relations rebuilt"))
+    assert frt.rtt_rank(sig, 0.41) == FROZEN_QUOTIENT_RANK["n,1"]
+
+
 # -- serialization ----------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Unit and property tests for the nilpotent coefficient algebra."""
 
+import cmath
 import math
+import operator
 from itertools import product
 
 import numpy as np
@@ -19,10 +21,18 @@ from ckq.pimenov import (
     parse_element,
     pim_apply,
     scaled_trig,
+    tag_product,
     worst_residual,
 )
 
-from oracles import grassmann_product, lift_fd, lift_taylor, reference_pim_apply
+from oracles import (
+    geometric_inverse,
+    grassmann_product,
+    lift_fd,
+    lift_taylor,
+    reference_pim_apply,
+    reference_tag_product,
+)
 
 
 def rand_element(rng, n, base=None):
@@ -108,6 +118,74 @@ def test_inverse_property(a):
 def test_nilpotent_part_not_invertible():
     with pytest.raises(NotInvertible):
         PimenovElement.tag(2, 1).inv()
+
+
+# exact zeros of every sign: a sum taken in another order, or a product of
+# other factors, flips the sign of a zero part
+SIGNED_VALUES = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -2.0 + 1j, 0.5j)
+
+
+def mask_map(rng, n, density, value):
+    """value(rng) on a random share of the 2^n masks, in a random order."""
+    masks = [m for m in range(2**n) if rng.random() < density]
+    rng.shuffle(masks)
+    return {m: value(rng) for m in masks}
+
+
+def signed_scalar(rng):
+    if rng.random() < 0.5:
+        return SIGNED_VALUES[rng.integers(len(SIGNED_VALUES))]
+    return complex(rng.normal(), rng.normal())
+
+
+def signed_block(rng):
+    return np.array([[signed_scalar(rng) for _ in range(2)] for _ in range(2)])
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 8),
+    densities=st.tuples(*[st.sampled_from([0.1, 0.5, 1.0])] * 2),
+    mul=st.sampled_from([operator.mul, np.matmul, np.kron]),
+)
+@settings(max_examples=150, deadline=None)
+def test_tag_product_equals_the_pair_scan(seed, n, densities, mul):
+    rng = np.random.default_rng(seed)
+    value = signed_scalar if mul is operator.mul else signed_block
+    a, b = (mask_map(rng, n, d, value) for d in densities)
+    got, want = tag_product(a, b, mul), reference_tag_product(a, b, mul)
+    assert list(got) == list(want)  # the same masks in the same order
+    for m, w in want.items():
+        assert np.array_equal(got[m], w) and bits(got[m]) == bits(w), m
+
+
+def l1(x: PimenovElement) -> float:
+    """The sum of |coefficients|: it bounds every coefficient of a product."""
+    return sum(abs(c) for c in x.coeffs.values())
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 8),
+    density=st.sampled_from([0.2, 1.0]),
+    scale=st.sampled_from([0.1, 1.0, 3.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_inverse_by_tag_splitting(seed, n, density, scale):
+    rng = np.random.default_rng(seed)
+    coeffs = {m: scale * complex(*rng.normal(size=2)) for m in range(1, 2**n) if rng.random() < density}
+    coeffs[0] = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    x = PimenovElement(n, coeffs)
+    y = x.inv()
+    assert (x * y - 1).max_abs() <= 1e-12 * l1(x) * l1(y)
+    series = geometric_inverse(x)
+    assert (y - series).max_abs() <= 1e-12 * l1(series)
+    with pytest.raises(NotInvertible):
+        x.nil_part().inv()
 
 
 # -- D_n matrices -------------------------------------------------------------

@@ -92,6 +92,17 @@ def test_rule_residuals_give_closure_residual_heads(sig_text):
     assert_same_rules(from_rules, from_closure, tol=1e-9)
 
 
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_rule_residuals_equal_reduced_whole_products(sig_text):
+    # the products g*r and r*g, reduced term by term as they are formed, equal
+    # the whole products reduced afterwards
+    _, rules, system, keep = quadratic_stage(sig_text, 0.37)
+    quadratic = as_elements(rules, system.n)
+    got = completion_residuals(system, quadratic, keep)
+    want = closure_residuals(system, quadratic, keep) + completion_residuals(system, [], keep)
+    assert [list(r.terms.items()) for r in got] == [list(r.terms.items()) for r in want]
+
+
 # words of length 1 and 2 under every tag mask of D_2 over 3 generators
 _KEYS = [(m, (a,)) for m in range(4) for a in range(3)] + [
     (m, (a, b)) for m in range(4) for a in range(3) for b in range(3)
