@@ -17,7 +17,8 @@ the diamond check over all tagged degree-3 words certifies that normal
 forms are unique up to degree 3, not beyond.  Tags that no relation carries
 are factored out: the ideal over them is an exact tensor copy of the ideal
 over the other tags, so the pipeline runs on the other tags and ORs the
-free ones back in.
+free ones back in.  The completion's last round and the confluence
+certificate share one diamond pass (`ReductionSystem.diamond_gaps`).
 """
 
 from __future__ import annotations
@@ -260,6 +261,7 @@ class ReductionSystem:
             "left": {},
             "right": {},
         }
+        self._gaps: dict[Word, list[FreeElement]] | None = None
         # filled by build_reduction: sizes and pivot margins of the build
         self.stats: dict = {}
 
@@ -363,6 +365,23 @@ class ReductionSystem:
                 f"tensor reduction still rewrote terms after {2 * CLOSURE_DEGREE} passes"
             )
         return TensorElement(x.n, x.G, done)
+
+    def diamond_gaps(self) -> dict[Word, list[FreeElement]]:
+        """Left-first minus right-first normal form of every tagged degree-3
+        word, computed once per system.  Only masks without free tags are
+        visited: under free tags e a gap is the one without them with e OR-ed
+        into every key (see _nf_term).  Words map to their nonzero gaps."""
+        if self._gaps is None:
+            masks = [m for m in range(1 << self.n) if not m & self.unused]
+            gaps: dict[Word, list[FreeElement]] = {}
+            for word in product(range(self.G), repeat=CLOSURE_DEGREE):
+                for mask in masks:
+                    nl, nr = self._nf(mask, word, "left"), self._nf(mask, word, "right")
+                    if nl != nr:
+                        d = {k: nl.get(k, 0j) - nr.get(k, 0j) for k in set(nl) | set(nr)}
+                        gaps.setdefault(word, []).append(FreeElement(self.n, self.G, d))
+            self._gaps = gaps
+        return self._gaps
 
 
 def coefficient_matrix(
@@ -481,8 +500,8 @@ def completion_residuals(
     word; entries of size <= keep are dropped.
     The quadratic rules span the same complex space as the tag closure of
     the relations, so their products span the same cubic part of the ideal.
-    Masks holding free tags of the system are skipped: their diamonds are
-    copies of the ones without them.
+    The diamonds are the system's diamond_gaps, which skip the masks holding
+    free tags: their diamonds are copies of the ones without them.
     """
     n, G = sys.n, sys.G
     out: list[FreeElement] = []
@@ -498,23 +517,8 @@ def completion_residuals(
                 red = FreeElement(n, G, acc)
                 if red.max_abs() > keep:
                     out.append(red)
-    for word in product(range(G), repeat=CLOSURE_DEGREE):
-        for mask in range(1 << n):
-            if mask & sys.unused:
-                continue
-            d = FreeElement(n, G, _diamond_gap(sys, mask, word))
-            if d.max_abs() > keep:
-                out.append(d)
+    out += [d for gaps in sys.diamond_gaps().values() for d in gaps if d.max_abs() > keep]
     return out
-
-
-def _diamond_gap(sys: ReductionSystem, mask: int, word: Word) -> dict[TermKey, complex]:
-    """Left-first minus right-first normal form of one tagged word."""
-    nl = sys._nf(mask, word, "left")
-    nr = sys._nf(mask, word, "right")
-    if nl == nr:
-        return {}
-    return {k: nl.get(k, 0j) - nr.get(k, 0j) for k in set(nl) | set(nr)}
 
 
 def _lift_rules(rules: dict[TermKey, FreeElement], unused: int) -> dict[TermKey, FreeElement]:
@@ -607,21 +611,22 @@ def confluence_check(sys: ReductionSystem) -> dict:
     """Left-first vs right-first reduction of every tagged degree-3 word.
 
     Every word is checked under every tag mask; `words_checked` counts the
-    words, `tagged_words_checked` the (mask, word) pairs.
+    words, `tagged_words_checked` the (mask, word) pairs.  The gaps are the
+    system's diamond_gaps, which a completed system has already computed in
+    its last round.  They cover the masks without free tags; each of those
+    stands for `tag_copies` masks whose gaps are exact copies of its own, so
+    a word's worst gap over them is its worst over every mask.
     """
-    masks = range(1 << sys.n)
-    per_word: list[float] = []
-    failing: list[Word] = []
-    for word in product(range(sys.G), repeat=CLOSURE_DEGREE):
-        diff = worst_residual(abs(c) for mask in masks for c in _diamond_gap(sys, mask, word).values())
-        per_word.append(diff)
-        if not diff <= 1e-9:
-            failing.append(word)
+    gaps = sys.diamond_gaps()
+    words = product(range(sys.G), repeat=CLOSURE_DEGREE)
+    per_word = {w: worst_residual(d.max_abs() for d in gaps.get(w, ())) for w in words}
+    failing = [w for w, diff in per_word.items() if not diff <= 1e-9]
     return {
         "degree": CLOSURE_DEGREE,
         "words_checked": len(per_word),
-        "tagged_words_checked": len(per_word) * len(masks),
-        "max_discrepancy": worst_residual(per_word),
+        "tagged_words_checked": len(per_word) * (1 << sys.n),
+        "tag_copies": 1 << sys.unused.bit_count(),
+        "max_discrepancy": worst_residual(per_word.values()),
         "failing_words": failing,
         "confluent": not failing,
     }

@@ -292,27 +292,30 @@ def _pim_entries(M: DMatrix) -> list[list[PimenovElement]]:
 
 
 def rtt_relations(R: RMatrix, attachments: bool = True) -> tuple[FreeElement, ...]:
-    """Entries of R T1 T2 - T2 T1 R: the 81 exchange relations."""
+    """Entries of R T1 T2 - T2 T1 R: the 81 exchange relations.  Each sums its
+    products in one dict and drops a key the moment its sum is exactly 0."""
     sig, n = R.sig, R.sig.n_slots
     T = t_matrix(sig, attachments)
-    TT1 = [[None] * 9 for _ in range(9)]
-    TT2 = [[None] * 9 for _ in range(9)]
-    for i, k, j, l in product(range(3), repeat=4):
-        TT1[3 * i + k][3 * j + l] = T[i][j] * T[k][l]
-        TT2[3 * i + k][3 * j + l] = T[k][l] * T[i][j]
+    # TT1[3i + k][3j + l] = T[i][j] T[k][l], TT2 the product in the other order
+    pairs = list(product(range(3), repeat=2))
+    TT1 = [[T[i][j] * T[k][l] for j, l in pairs] for i, k in pairs]
+    TT2 = [[T[k][l] * T[i][j] for j, l in pairs] for i, k in pairs]
+    Rc = [[FreeElement.const(n, NGEN, r).terms for r in row] for row in _pim_entries(R.mat)]
     relations = []
-    for al in range(9):
-        for be in range(9):
-            acc = FreeElement.zero(n, NGEN)
-            for ga in range(9):
-                r1 = R.mat.entry(al, ga)
-                if not r1.is_zero():
-                    acc = acc + TT1[ga][be] * r1
-                r2 = R.mat.entry(ga, be)
-                if not r2.is_zero():
-                    acc = acc - TT2[al][ga] * r2
-            if not acc.is_zero():
-                relations.append(acc)
+    for al, be in product(range(9), repeat=2):
+        acc: dict = {}
+        for ga in range(9):
+            for sign, tt, r in ((1, TT1[ga][be], Rc[al][ga]), (-1, TT2[al][ga], Rc[ga][be])):
+                for k, c in tt._product(r).items():
+                    if c == 0:
+                        continue
+                    total = acc.get(k, 0j) + c if sign > 0 else acc.get(k, 0j) - c
+                    if total == 0:
+                        acc.pop(k, None)
+                    else:
+                        acc[k] = total
+        if acc:
+            relations.append(FreeElement(n, NGEN, acc))
     return tuple(relations)
 
 

@@ -625,22 +625,18 @@ def parse_element(text: str, n: int) -> PimenovElement:
     return _Parser(text, n).parse()
 
 
-def format_scalar(c: complex) -> str:
-    if c.imag == 0:
-        return repr(c.real)
-    return repr(c)[1:-1] if repr(c).startswith("(") else repr(c)
-
-
 def format_element(a: PimenovElement) -> str:
     if not a.coeffs:
         return "0"
+    names = [f"i{k + 1}" for k in range(a.n)]
     parts = []
     for mask in sorted(a.coeffs, key=lambda m: (_popcount(m), m)):
         c = a.coeffs[mask]
-        tags = "*".join(f"i{k + 1}" for k in range(a.n) if mask >> k & 1)
-        lit = format_scalar(c)
-        if tags and c.imag and repr(c).startswith("("):
-            # '*' binds tighter than '+': a two-part literal needs parentheses
-            lit = f"({lit})"
-        parts.append(f"{lit}*{tags}" if tags else lit)
+        lit = repr(c) if c.imag else repr(c.real)
+        tags = []
+        while mask:
+            tags.append(names[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        # '*' binds tighter than '+': a two-part literal before tags keeps its parentheses
+        parts.append(f"{lit}*{'*'.join(tags)}" if tags else lit.strip("()"))
     return " + ".join(parts).replace("+ -", "- ")

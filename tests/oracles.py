@@ -9,9 +9,11 @@ partition sum keeps the lifting that walks every set partition of a tag
 set into r blocks, once per block count r, zero blocks included.  The quotient
 oracles keep the plain Gauss-Jordan elimination, which rescans every
 remaining row at every column, the completion residuals generated from
-the whole tag closure instead of from the quadratic rules, and the build
+the whole tag closure instead of from the quadratic rules, the build
 that eliminates and completes over every tag mask instead of factoring out
-the tags no relation carries.  The series oracle keeps the monomial product
+the tags no relation carries, the confluence check that compares normal
+forms under every tag mask, and the exchange relations summed one whole
+element per product.  The series oracle keeps the monomial product
 that replays every letter push from the unit.  The Hopf-check oracles keep
 the coproduct check that maps and reduces every relation whole, with the
 tensor reduction that repeats full passes until one rewrites nothing, and
@@ -407,6 +409,56 @@ def reference_build_reduction(rs, n, G, pivot_threshold=PIVOT_THRESHOLD, complet
     stats["completion_rounds"] = len(rounds)
     system.stats = stats
     return system
+
+
+def reference_confluence_check(system):
+    """confluence_check with the left- and right-first normal forms of every
+    degree-3 word under every tag mask, free tags included."""
+    masks = range(1 << system.n)
+    per_word, failing = [], []
+    for word in product(range(system.G), repeat=CLOSURE_DEGREE):
+        gaps = []
+        for mask in masks:
+            nl = system._nf(mask, word, "left")
+            nr = system._nf(mask, word, "right")
+            gaps += [abs(nl.get(k, 0j) - nr.get(k, 0j)) for k in set(nl) | set(nr)]
+        diff = worst_residual(gaps)
+        per_word.append(diff)
+        if not diff <= 1e-9:
+            failing.append(word)
+    return {
+        "degree": CLOSURE_DEGREE,
+        "words_checked": len(per_word),
+        "tagged_words_checked": len(per_word) * len(masks),
+        "max_discrepancy": worst_residual(per_word),
+        "failing_words": failing,
+        "confluent": not failing,
+    }
+
+
+def reference_rtt_relations(R, attachments=True):
+    """R T1 T2 - T2 T1 R entry by entry, one whole FreeElement per product."""
+    n = R.sig.n_slots
+    T = frt.t_matrix(R.sig, attachments)
+    TT1 = [[None] * 9 for _ in range(9)]
+    TT2 = [[None] * 9 for _ in range(9)]
+    for i, k, j, l in product(range(3), repeat=4):
+        TT1[3 * i + k][3 * j + l] = T[i][j] * T[k][l]
+        TT2[3 * i + k][3 * j + l] = T[k][l] * T[i][j]
+    relations = []
+    for al in range(9):
+        for be in range(9):
+            acc = FreeElement.zero(n, frt.NGEN)
+            for ga in range(9):
+                r1 = R.mat.entry(al, ga)
+                if not r1.is_zero():
+                    acc = acc + TT1[ga][be] * r1
+                r2 = R.mat.entry(ga, be)
+                if not r2.is_zero():
+                    acc = acc - TT2[al][ga] * r2
+            if not acc.is_zero():
+                relations.append(acc)
+    return tuple(relations)
 
 
 # ---------------------------------------------------------------------------

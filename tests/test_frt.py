@@ -22,7 +22,7 @@ from ckq.free_algebra import (
 )
 from ckq.frt import FROZEN_QUOTIENT_RANK
 from ckq.pimenov import ParameterSignature, PimenovElement, worst_residual
-from oracles import reference_coproduct_compatibility
+from oracles import reference_coproduct_compatibility, reference_rtt_relations
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
@@ -116,6 +116,19 @@ def test_confluence_all_words(sig_text):
     assert rep["confluent"], rep["failing_words"][:5]
     assert rep["max_discrepancy"] <= 1e-9
     assert rep["degree"] == 3
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+@pytest.mark.parametrize("attachments", [True, False])
+def test_rtt_relations_match_whole_element_sums(sig_text, attachments):
+    # the same keys in the same order and the same bits in every coefficient
+    for v in V_SAMPLES + [1.2, -1.5]:
+        R = frt.rmatrix3(sig_of(sig_text), v)
+        got = frt.rtt_relations(R, attachments)
+        want = reference_rtt_relations(R, attachments)
+        assert [[(k, repr(c)) for k, c in r.terms.items()] for r in got] == [
+            [(k, repr(c)) for k, c in r.terms.items()] for r in want
+        ]
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)

@@ -27,7 +27,12 @@ from ckq.free_algebra import (
     unused_tags,
 )
 from ckq.pimenov import ParameterSignature
-from oracles import closure_residuals, reference_build_reduction, reference_rref_rules
+from oracles import (
+    closure_residuals,
+    reference_build_reduction,
+    reference_confluence_check,
+    reference_rref_rules,
+)
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 V_SAMPLES = [0.37, 0.61 + 0.29j]
@@ -296,19 +301,82 @@ def relation_sets(draw):
     return [_random_relation(draw, n, tags) for _ in range(draw(st.integers(1, 4)))]
 
 
-def _build_or_error(build, rels):
+def _result_or_error(fn, *args):
     try:
-        return build(rels, 3, 3)
+        return fn(*args)
     except (InconsistentIdeal, NonTerminatingRules) as exc:
         return type(exc)
+
+
+def assert_confluence_matches_reference(system):
+    # the reference compares normal forms under every tag mask on a plain
+    # copy of the rules, with no free tags factored out
+    got = _result_or_error(confluence_check, system)
+    plain = ReductionSystem(system.n, system.G, dict(system.rules))
+    want = _result_or_error(reference_confluence_check, plain)
+    if isinstance(want, type):
+        assert got is want
+        return got
+    assert got.pop("tag_copies") == 2 ** system.unused.bit_count()
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_confluence_matches_all_mask_reference(sig_text):
+    sig = ParameterSignature.parse(sig_text)
+    for v in V_SAMPLES:
+        rep = assert_confluence_matches_reference(frt.reduction_system(sig, v))
+        assert rep["confluent"]
+        # the quadratic rules alone leave many words with gaps of order 1
+        quadratic = frt.quadratic_system(sig, v)
+        rep = assert_confluence_matches_reference(
+            ReductionSystem(sig.n_slots, G, dict(quadratic.rules), quadratic.unused)
+        )
+        assert not rep["confluent"]
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_confluence_without_some_cubic_rules_matches_reference(sig_text):
+    # every other cubic rule is dropped with all its free-tag copies, so the
+    # rules are still copies of the rules that carry no free tag
+    system = frt.reduction_system(ParameterSignature.parse(sig_text), 0.37)
+    cubic = sorted({(hm & ~system.unused, hw) for hm, hw in system.rules if len(hw) == 3})
+    dropped = set(cubic[::2])
+    rules = {h: t for h, t in system.rules.items() if (h[0] & ~system.unused, h[1]) not in dropped}
+    rep = assert_confluence_matches_reference(ReductionSystem(system.n, G, rules, system.unused))
+    assert not rep["confluent"]
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_confluence_of_a_completed_system_adds_no_normal_forms(sig_text):
+    # the completion's last round computed every diamond on the system it
+    # returns; the certificate reads them
+    sig = ParameterSignature.parse(sig_text)
+    system = complete(frt.full_relations(sig, 0.37), sig.n_slots, G)
+    sizes = {strategy: len(memo) for strategy, memo in system._memo.items()}
+    assert_confluence_matches_reference(system)
+    assert {strategy: len(memo) for strategy, memo in system._memo.items()} == sizes
+
+
+@given(rels=relation_sets())
+@settings(max_examples=25, deadline=None)
+def test_confluence_matches_reference_on_random_relations(rels):
+    try:
+        quadratic = quadratic_reduction(rels, 3, 3)
+        completed = build_reduction(quadratic)
+    except (InconsistentIdeal, NonTerminatingRules):
+        assume(False)
+    assert_confluence_matches_reference(quadratic)
+    assert_confluence_matches_reference(completed)
 
 
 @given(rels=relation_sets())
 @settings(max_examples=40, deadline=None)
 def test_factored_build_matches_reference_on_random_relations(rels):
     # relations over n = 3 tags that use none, some or all of them
-    got = _build_or_error(complete, rels)
-    want = _build_or_error(reference_build_reduction, rels)
+    got = _result_or_error(complete, rels, 3, 3)
+    want = _result_or_error(reference_build_reduction, rels, 3, 3)
     if isinstance(want, type):
         assert got is want
         return
