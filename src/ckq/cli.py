@@ -4,6 +4,8 @@ Every verify command filters one table of checks, `CHECKS`.  Reports are
 streamed as JSON lines (one object per check, sorted by check id) or as a
 plain table.  Exit status is 0 only when every reported check passes;
 malformed flags or signatures exit with status 2.
+With more than one CPU, `verify all` computes the dual suite in a forked
+child, byte-identical in output; a child that dies without a result exits 1.
 """
 
 from __future__ import annotations
@@ -251,16 +253,102 @@ CHECKS: dict[str, tuple[str, float | None, Callable[[_Inputs], float | dict]]] =
         dualmod.verify_duality_isomorphism(x.sig, dw=x.trunc), truncation=x.trunc)),
 }
 SUITES = list(dict.fromkeys(suite for suite, _, _ in CHECKS.values()))
+# The suite that a multi-suite run computes in a second process.  It is the
+# last suite of CHECKS, so an error raised by the others is the one that the
+# sequential order meets first.
+APART = "dual"
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _compute(x: _Inputs, rows: list[tuple]) -> list[dict]:
+    """The report fields of each (check id, suite, tolerance, compute) row, in order."""
+    fields = []
+    for _, _, _, compute in rows:
+        out = compute(x)
+        fields.append(out if isinstance(out, dict) else {"residual": out})
+    return fields
+
+
+def _compute_beside(x: _Inputs, here: list[tuple], apart: list[tuple]) -> list[dict]:
+    """`_compute(x, here + apart)`, with `apart` computed in a forked child
+    while this process computes `here`.
+
+    The child sends back its fields, or the exception it raised, pickled
+    through a pipe, and leaves only through `os._exit`: it never flushes
+    the buffers it inherited and never returns into the caller.  An error
+    raised here wins; the child is killed and reaped before it propagates.
+    A child that dies without a readable answer raises a ClickException;
+    where no child can be started, this process computes `apart` too.
+    """
+    import pickle
+    import signal
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return _compute(x, here + apart)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                answer = ("fields", _compute(x, apart))
+            except BaseException as exc:
+                answer = ("raise", exc)
+            try:
+                data = pickle.dumps(answer)
+            except Exception as exc:
+                data = pickle.dumps(("broken", f"its result cannot be pickled: {exc}"))
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        fields = _compute(x, here)
+        with open(r, "rb", closefd=False) as pipe:
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(r)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        kind, value = pickle.loads(data)
+    except Exception:
+        kind, value = "broken", f"it exited with status {code} without a readable result"
+    if kind == "raise":
+        raise value
+    if kind == "broken":
+        raise click.ClickException(f"the {APART} suite's process failed: {value}")
+    return fields + value
 
 
 def _verify(x: _Inputs, fmt: str, suite: str = "all", check: str = "all") -> None:
-    """Compute and report the checks of `suite` whose id is `check` ("all" matches any)."""
-    reports = []
-    for cid, (in_suite, tol, compute) in CHECKS.items():
-        if suite in ("all", in_suite) and check in ("all", cid):
-            out = compute(x)
-            fields = out if isinstance(out, dict) else {"residual": out}
-            reports.append(_entry(cid, x.signature(in_suite), tol=tol, **fields))
+    """Compute and report the checks of `suite` whose id is `check` ("all" matches any).
+
+    When they span the `APART` suite and another one, and more than one CPU
+    is available, the `APART` suite runs in a forked child meanwhile."""
+    rows = [(cid, *row) for cid, row in CHECKS.items() if suite in ("all", row[0]) and check in ("all", cid)]
+    # every input is parsed before any check runs, so no usage error reaches a child
+    sigs = {in_suite: x.signature(in_suite) for _, in_suite, _, _ in rows}
+    here = [row for row in rows if row[1] != APART]
+    apart = [row for row in rows if row[1] == APART]
+    if here and apart and _cpus() > 1:
+        fields = _compute_beside(x, here, apart)
+    else:
+        fields = _compute(x, here + apart)
+    reports = [_entry(cid, sigs[in_suite], tol=tol, **out)
+               for (cid, in_suite, tol, _), out in zip(here + apart, fields)]
     _report(reports, fmt)
 
 

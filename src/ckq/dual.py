@@ -299,18 +299,19 @@ def verify_L_relations(sig: ParameterSignature, v: complex) -> dict:
     f = build_functionals(sig, v)
     n = sig.n_slots
     I3 = DMatrix.identity(n, 3)
+    # the 18 windows, cut once: S[eps, i, j] is f.slice(i + 1, j + 1, eps)
+    S = {(eps, i, j): f.slice(i + 1, j + 1, eps) for eps in "+-" for i in range(3) for j in range(3)}
     L1: dict[str, DMatrix] = {}
     L2: dict[str, DMatrix] = {}
     for eps in ("+", "-"):
         acc1 = DMatrix.zeros(n, 27)
         acc2 = DMatrix.zeros(n, 27)
-        for i in range(1, 4):
-            for j in range(1, 4):
+        for i in range(3):
+            for j in range(3):
                 E = np.zeros((3, 3))
-                E[i - 1, j - 1] = 1.0
-                S = f.slice(i, j, eps)
-                acc1 = acc1 + DMatrix.from_scalar(n, np.kron(E, np.eye(3))).kron(S)
-                acc2 = acc2 + DMatrix.from_scalar(n, np.kron(np.eye(3), E)).kron(S)
+                E[i, j] = 1.0
+                acc1 = acc1 + DMatrix.from_scalar(n, np.kron(E, np.eye(3))).kron(S[eps, i, j])
+                acc2 = acc2 + DMatrix.from_scalar(n, np.kron(np.eye(3), E)).kron(S[eps, i, j])
         L1[eps] = acc1
         L2[eps] = acc2
     R27 = f.rp.kron(I3)
@@ -323,23 +324,19 @@ def verify_L_relations(sig: ParameterSignature, v: complex) -> dict:
     Ct = C.mat.T
     Cti = C.mat.inv().T
     for label, M in (("metric", Ct), ("metric_inv", Cti)):
+        entries = {(k, l): M.entry(k, l) for k in range(3) for l in range(3)}
+        terms = [(k, l, coeff) for (k, l), coeff in entries.items() if not coeff.is_zero()]
         for eps in ("+", "-"):
             residuals = []
-            for i in range(1, 4):
-                for j in range(1, 4):
+            for i in range(3):
+                for j in range(3):
                     acc = DMatrix.zeros(n, 3)
-                    for k in range(1, 4):
-                        for l in range(1, 4):
-                            coeff = M.entry(k - 1, l - 1)
-                            if coeff.is_zero():
-                                continue
-                            acc = acc + (f.slice(i, k, eps) @ f.slice(j, l, eps)) * coeff
-                    target = DMatrix.identity(n, 3) * M.entry(i - 1, j - 1)
+                    for k, l, coeff in terms:
+                        acc = acc + (S[eps, i, k] @ S[eps, j, l]) * coeff
+                    target = I3 * entries[i, j]
                     residuals.append((acc - target).max_abs())
             res[f"{label}{eps}"] = worst_residual(residuals)
-    res["diag_inverse"] = (
-        f.slice(1, 1, "+") @ f.slice(1, 1, "-") - DMatrix.identity(n, 3)
-    ).max_abs()
+    res["diag_inverse"] = (S["+", 0, 0] @ S["-", 0, 0] - I3).max_abs()
     worst = worst_residual(res.values())
     return {"identities": res, "residual": worst, "pass": worst <= 1e-9}
 

@@ -20,8 +20,10 @@ tensor reduction that repeats full passes until one rewrites nothing, and
 the deformed-algebra products that take one ser_mul per term pair and per
 contribution.  The D_n oracles keep the product that scans every pair of
 masks and skips the overlapping ones, the inverse as a geometric series in
-the nilpotent part, the functional slices assembled entry by entry, and
-the Hopf images of monomials multiplied letter by letter from the unit.
+the nilpotent part, the functional slices assembled entry by entry, the
+L-relation identities that cut a functional window and read a metric entry
+at each use, and the Hopf images of monomials multiplied letter by letter
+from the unit.
 """
 
 from __future__ import annotations
@@ -88,6 +90,50 @@ def assembled_slice(f, i, j, eps):
     R = f.rp if eps == "+" else f.rm
     ents = [[R.entry(3 * (i - 1) + k, 3 * (j - 1) + l) for l in range(3)] for k in range(3)]
     return DMatrix.from_entries(f.sig.n_slots, ents)
+
+
+def reference_L_relations(sig, v):
+    """`dual.verify_L_relations` with every window cut and every metric
+    entry read where it is used (236 slices and 324 entry reads per call)."""
+    f = dual.build_functionals(sig, v)
+    n = sig.n_slots
+    I3 = DMatrix.identity(n, 3)
+    L1, L2 = {}, {}
+    for eps in ("+", "-"):
+        acc1 = DMatrix.zeros(n, 27)
+        acc2 = DMatrix.zeros(n, 27)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                E = np.zeros((3, 3))
+                E[i - 1, j - 1] = 1.0
+                S = f.slice(i, j, eps)
+                acc1 = acc1 + DMatrix.from_scalar(n, np.kron(E, np.eye(3))).kron(S)
+                acc2 = acc2 + DMatrix.from_scalar(n, np.kron(np.eye(3), E)).kron(S)
+        L1[eps] = acc1
+        L2[eps] = acc2
+    R27 = f.rp.kron(I3)
+    res = {}
+    for e1, e2 in (("+", "+"), ("-", "-"), ("+", "-")):
+        res[f"exchange{e1}{e2}"] = (R27 @ L1[e1] @ L2[e2] - L2[e2] @ L1[e1] @ R27).max_abs()
+    C = frt.cmatrix(sig, v)
+    for label, M in (("metric", C.mat.T), ("metric_inv", C.mat.inv().T)):
+        for eps in ("+", "-"):
+            residuals = []
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    acc = DMatrix.zeros(n, 3)
+                    for k in range(1, 4):
+                        for l in range(1, 4):
+                            coeff = M.entry(k - 1, l - 1)
+                            if coeff.is_zero():
+                                continue
+                            acc = acc + (f.slice(i, k, eps) @ f.slice(j, l, eps)) * coeff
+                    target = DMatrix.identity(n, 3) * M.entry(i - 1, j - 1)
+                    residuals.append((acc - target).max_abs())
+            res[f"{label}{eps}"] = worst_residual(residuals)
+    res["diag_inverse"] = (f.slice(1, 1, "+") @ f.slice(1, 1, "-") - DMatrix.identity(n, 3)).max_abs()
+    worst = worst_residual(res.values())
+    return {"identities": res, "residual": worst, "pass": worst <= 1e-9}
 
 
 def word_delta_mono(alg, key):

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import time
 
 import pytest
 from click.testing import CliRunner
 
-from ckq import free_algebra, frt
-from ckq.cli import CHECKS, cli
+from ckq import dual, free_algebra, frt
+from ckq.cli import APART, CHECKS, SUITES, cli
 
 
 @pytest.fixture
@@ -239,6 +241,139 @@ def test_dual_verify_truncation_flag(runner):
     assert res.exit_code == 0
     (report,) = [json.loads(ln) for ln in lines_of(res)]
     assert report["truncation"] == 6
+
+
+# -- verify all in two processes ---------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids `os.fork` returns to the parent, in order."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def run_forked_and_sequential(runner, monkeypatch, forks, args):
+    """The run with two CPUs (the dual suite in a child) and with one."""
+    monkeypatch.setattr("ckq.cli._cpus", lambda: 2)
+    forked = runner.invoke(cli, args)
+    assert len(forks) == 1
+    monkeypatch.setattr("ckq.cli._cpus", lambda: 1)
+    sequential = runner.invoke(cli, args)
+    assert len(forks) == 1
+    assert (forked.exit_code, forked.stdout, forked.output) == (
+        sequential.exit_code, sequential.stdout, sequential.output)
+    return forked
+
+
+def test_the_suite_apart_comes_last():
+    # so that an error of the other suites is the first in CHECKS order
+    assert SUITES[-1] == APART == "dual"
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "1,n", "n,1", "n,n"])
+def test_verify_all_forked_prints_what_sequential_prints(runner, monkeypatch, forks, sig_text):
+    for fmt in ("json", "table"):
+        res = run_forked_and_sequential(runner, monkeypatch, forks, ["verify", "all", "--j", sig_text, "--format", fmt])
+        assert res.exit_code == 0, res.output
+        assert len(lines_of(res)) == len(CHECKS)
+        forks.clear()
+
+
+def test_verify_all_runs_in_one_process_where_fork_fails(runner, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr("ckq.cli._cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    failed = runner.invoke(cli, ["verify", "all", "--j", "n,n"])
+    monkeypatch.setattr("ckq.cli._cpus", lambda: 1)
+    sequential = runner.invoke(cli, ["verify", "all", "--j", "n,n"])
+    assert failed.exit_code == 0, failed.output
+    assert failed.output == sequential.output
+
+
+@pytest.mark.parametrize("verify_args", [["verify", "dual"], ["dual", "verify", "all"], ["verify", "frt"]])
+def test_a_single_suite_runs_in_one_process(runner, monkeypatch, forks, verify_args):
+    monkeypatch.setattr("ckq.cli._cpus", lambda: 2)
+    res = runner.invoke(cli, [*verify_args, "--j", "n,n"])
+    assert res.exit_code == 0, res.output
+    assert forks == []
+
+
+def test_failed_dual_check_forked_prints_what_sequential_prints(runner, monkeypatch, forks):
+    monkeypatch.setattr(dual, "verify_L_relations", lambda sig, v: {"residual": 0.5, "pass": False})
+    res = run_forked_and_sequential(runner, monkeypatch, forks, ["verify", "all", "--j", "n,n", "--format", "table"])
+    assert res.exit_code == 1
+    assert "dual.lrel" in res.output and "FAIL" in res.output
+
+
+@pytest.mark.parametrize("error", [OverflowError("math range error in the dual suite"),
+                                   free_algebra.NonTerminatingRules("the dual rewriting did not terminate")])
+def test_domain_error_in_dual_check_exits_2(runner, monkeypatch, forks, error):
+    def raises(sig, dw=8):
+        raise error
+
+    monkeypatch.setattr(dual, "verify_sow_hopf", raises)
+    res = run_forked_and_sequential(runner, monkeypatch, forks, ["verify", "all", "--j", "n,n"])
+    assert res.exit_code == 2
+    assert f"parameters outside the supported range: {error}" in res.output
+
+
+@pytest.mark.parametrize("dual_side", ["raises", "hangs"])
+def test_frt_error_wins_and_the_child_is_reaped(runner, monkeypatch, forks, dual_side):
+    def frt_raises(sig, v):
+        raise OverflowError("the frt side overflowed")
+
+    def dual_check(sig, dw=8):
+        if dual_side == "raises":
+            raise free_algebra.NonTerminatingRules("the dual side did not terminate")
+        time.sleep(60)
+
+    monkeypatch.setattr(frt, "counit_residual", frt_raises)
+    monkeypatch.setattr(dual, "verify_duality_isomorphism", dual_check)
+    t0 = time.monotonic()
+    res = run_forked_and_sequential(runner, monkeypatch, forks, ["verify", "all", "--j", "n,n"])
+    assert time.monotonic() - t0 < 30  # the parent killed the child instead of waiting for it
+    assert res.exit_code == 2
+    assert "the frt side overflowed" in res.output and "dual side" not in res.output
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)  # already reaped
+
+
+def _exits(sig, v):
+    os._exit(3)
+
+
+def _unpicklable_report(sig, v):
+    return {"residual": lambda: 0.0, "pass": True}
+
+
+def _unpicklable_error(sig, v):
+    raise type("Unpicklable", (Exception,), {})("raised in the dual suite")
+
+
+@pytest.mark.parametrize("check, reason", [
+    (_exits, "exited with status 3"),
+    (_unpicklable_report, "cannot be pickled"),
+    (_unpicklable_error, "cannot be pickled"),
+])
+def test_a_broken_dual_process_fails_visibly(runner, monkeypatch, forks, check, reason):
+    monkeypatch.setattr("ckq.cli._cpus", lambda: 2)
+    monkeypatch.setattr(dual, "verify_pairing_table", check)
+    res = runner.invoke(cli, ["verify", "all", "--j", "n,n"])
+    assert len(forks) == 1
+    assert res.exit_code == 1
+    assert "the dual suite's process failed" in res.output and reason in res.output
+    assert '"pass"' not in res.output
 
 
 # -- emit -------------------------------------------------------------------

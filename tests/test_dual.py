@@ -14,6 +14,7 @@ from ckq.dmat import DMatrix
 from ckq.pimenov import ParameterSignature
 from oracles import (
     assembled_slice,
+    reference_L_relations,
     reference_sow_mul,
     reference_tensor2_mul,
     replay_mono_mul,
@@ -120,6 +121,14 @@ def test_flagged_corner_entries_are_half_published():
 def test_L_relations(sig_text):
     rep = dual.verify_L_relations(sig_of(sig_text), 0.37)
     assert rep["pass"], rep
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+@pytest.mark.parametrize("v", V_SAMPLES)
+def test_L_relations_match_the_per_use_reference(sig_text, v):
+    # the windows and metric entries are read once per call; the report keeps every bit
+    sig = sig_of(sig_text)
+    assert repr(dual.verify_L_relations(sig, v)) == repr(reference_L_relations(sig, v))
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)

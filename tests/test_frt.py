@@ -29,8 +29,9 @@ CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
 V_SAMPLES = [0.37, 0.61 + 0.29j]
 
 # rank of the tag closure of the full relation set, the same on the direct
-# and the substituted route; it holds on the whole disc |v| <= 0.9, v = 0 included
-CONTRACTION_RANK = {"1,1": 188, "1,n": 112, "n,1": 112, "n,n": 68}
+# and the substituted route, and so the number of quadratic rules; it holds on
+# the whole disc |v| <= 0.9, v = 0 included
+CONTRACTION_RANK = frt.FROZEN_QUADRATIC_RULES
 # copies of the closures over the tags neither relation set carries
 TAG_COPIES = {"1,1": 4, "1,n": 2, "n,1": 2, "n,n": 1}
 # distinct (mask, word) terms of the full relation set

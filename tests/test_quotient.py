@@ -37,11 +37,6 @@ from oracles import (
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 V_SAMPLES = [0.37, 0.61 + 0.29j]
 G = frt.NGEN
-# completed rule counts per signature.  Measured to hold for 0.02 <= |v| <= 0.9;
-# at 1,1 below |v| ~ 0.015 the completion adopts several hundred extra rules
-# (the same on the plain reference pipeline), so the property test samples
-# 0.05 <= |v| <= 0.9.
-FROZEN_RULES = {"1,1": 280, "1,n": 178, "n,1": 186, "n,n": 114}
 # tags no relation carries (1-based) and the 2^k copies of the ideal over them
 FREE_TAGS = {"1,1": [1, 2], "1,n": [1], "n,1": [2], "n,n": []}
 # the stats that describe the full system; the pivot ratios come from the
@@ -166,6 +161,8 @@ def test_rref_row_keeps_its_own_scale_after_a_swap():
     assert_same_rules(rules, reference_rref_rules([small, big], 1, 3))
 
 
+# frt.FROZEN_RULES holds for 0.02 <= |v| <= 0.9; below |v| ~ 0.015 at 1,1 the
+# plain reference pipeline adopts the same extra rules as the library
 @given(
     sig_text=st.sampled_from(QUANTUM_SIGS),
     r=st.floats(0.05, 0.9),
@@ -175,7 +172,7 @@ def test_rref_row_keeps_its_own_scale_after_a_swap():
 def test_rule_counts_on_v_disc(sig_text, r, phase):
     sig = ParameterSignature.parse(sig_text)
     system = complete(frt.full_relations(sig, cmath.rect(r, phase)), sig.n_slots, G)
-    assert len(system) == FROZEN_RULES[sig_text]
+    assert len(system) == frt.FROZEN_RULES[sig_text]
     rep = confluence_check(system)
     assert rep["confluent"] and rep["max_discrepancy"] <= 1e-9
 
@@ -183,7 +180,7 @@ def test_rule_counts_on_v_disc(sig_text, r, phase):
 def test_build_reduction_reports_stats():
     stats = frt.reduction_system(ParameterSignature.parse("1,1"), 0.37).stats
     assert stats["closure_rows"] == 380
-    assert stats["quadratic_rules"] == 188
+    assert stats["quadratic_rules"] == frt.FROZEN_QUADRATIC_RULES["1,1"]
     # one round adds the 92 cubic rules, the next confirms that none is missing
     assert [rd["added_rules"] for rd in stats["rounds"]] == [92, 0]
     assert stats["rounds"][1]["residual_rows"] == 0
@@ -201,6 +198,14 @@ def assert_completion_keeps_quadratic_rules(sig, v):
     assert all(low[h].terms == t.terms for h, t in quadratic.rules.items())
     assert len(completed) > len(quadratic) == quadratic.stats["quadratic_rules"]
     return quadratic
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_quadratic_system_has_the_frozen_rule_count(sig_text):
+    sig = ParameterSignature.parse(sig_text)
+    for v in V_SAMPLES:
+        quadratic = frt.quadratic_system(sig, v)
+        assert len(quadratic) == quadratic.stats["quadratic_rules"] == frt.FROZEN_QUADRATIC_RULES[sig_text]
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
@@ -246,7 +251,7 @@ def test_factored_build_matches_reference(sig_text):
         rs = frt.full_relations(sig, v)
         system = complete(rs, sig.n_slots, G)
         assert_same_build(system, reference_build_reduction(rs, sig.n_slots, G))
-        assert len(system) == FROZEN_RULES[sig_text]
+        assert len(system) == frt.FROZEN_RULES[sig_text]
         assert system.stats["free_tags"] == FREE_TAGS[sig_text]
         assert system.stats["tag_copies"] == 2 ** len(FREE_TAGS[sig_text])
 
