@@ -12,13 +12,13 @@ algebra map out of the free algebra is fixed by its generator images, and
 Quadratic relation sets are turned into rewrite rules by viewing their
 tag-closure as a plain complex linear space in the (mask, word) basis and
 row-reducing it: every pivot becomes a rule head, the rest of its row the
-tail (`quadratic_reduction`).  `build_reduction` adds degree-3 rules, and
-the diamond check over all tagged degree-3 words certifies that normal
-forms are unique up to degree 3, not beyond.  Tags that no relation carries
-are factored out: the ideal over them is an exact tensor copy of the ideal
-over the other tags, so the pipeline runs on the other tags and ORs the
-free ones back in.  The completion's last round and the confluence
-certificate share one diamond pass (`ReductionSystem.diamond_gaps`).
+tail (`quadratic_reduction`).  `build_reduction` adds degree-3 rules in
+one row reduction of the cubic part of the ideal, and the diamond check
+over all tagged degree-3 words (`confluence_check`) certifies that normal
+forms are unique up to degree 3, not beyond.  Tags that no relation
+carries are factored out: the ideal over them is an exact tensor copy of
+the ideal over the other tags, so the pipeline runs on the other tags and
+ORs the free ones back in.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ TensorKey = tuple[int, Word, Word]
 
 
 class InconsistentIdeal(ValueError):
-    """Row reduction produced a bare constant: 1 lies in the ideal."""
+    """The ideal is outside the build's scope: 1 lies in it (row reduction
+    produced a bare constant), or its rule heads are too short for the
+    one-step completion (a quadratic head below degree 2, a new one below 3).
+    """
 
 
 class NonTerminatingRules(ValueError):
@@ -232,10 +235,10 @@ class ReductionSystem:
     """Inter-reduced linear rewrite rules head -> tail, heads of degree <= 3.
 
     Rule heads of degree 3 come from bounded-degree completion (see
-    build_reduction): quadratic relation sets whose ideal contains cubic
-    elements not resolved by subword rewriting get those elements adjoined
-    as explicit rules, which is what makes the degree-3 diamond check a
-    meaningful certificate.
+    build_reduction): the cubic elements of the ideal that subword
+    rewriting with the quadratic rules leaves unresolved are row-reduced
+    once and adjoined as explicit rules, which is what makes the degree-3
+    diamond check (confluence_check) a meaningful certificate.
 
     `unused` marks free tags: every rule must be the copy, with some of them
     OR-ed into head and tail, of a rule that carries none of them.  A term
@@ -261,7 +264,6 @@ class ReductionSystem:
             "left": {},
             "right": {},
         }
-        self._gaps: dict[Word, list[FreeElement]] | None = None
         # filled by build_reduction: sizes and pivot margins of the build
         self.stats: dict = {}
 
@@ -365,23 +367,6 @@ class ReductionSystem:
                 f"tensor reduction still rewrote terms after {2 * CLOSURE_DEGREE} passes"
             )
         return TensorElement(x.n, x.G, done)
-
-    def diamond_gaps(self) -> dict[Word, list[FreeElement]]:
-        """Left-first minus right-first normal form of every tagged degree-3
-        word, computed once per system.  Only masks without free tags are
-        visited: under free tags e a gap is the one without them with e OR-ed
-        into every key (see _nf_term).  Words map to their nonzero gaps."""
-        if self._gaps is None:
-            masks = [m for m in range(1 << self.n) if not m & self.unused]
-            gaps: dict[Word, list[FreeElement]] = {}
-            for word in product(range(self.G), repeat=CLOSURE_DEGREE):
-                for mask in masks:
-                    nl, nr = self._nf(mask, word, "left"), self._nf(mask, word, "right")
-                    if nl != nr:
-                        d = {k: nl.get(k, 0j) - nr.get(k, 0j) for k in set(nl) | set(nr)}
-                        gaps.setdefault(word, []).append(FreeElement(self.n, self.G, d))
-            self._gaps = gaps
-        return self._gaps
 
 
 def coefficient_matrix(
@@ -492,16 +477,13 @@ def _rref_rules(
 def completion_residuals(
     sys: ReductionSystem, quadratic: Sequence[FreeElement], keep: float
 ) -> list[FreeElement]:
-    """Cubic ideal elements the current rules leave unresolved.
+    """Cubic ideal elements that the quadratic rules leave unresolved.
 
     These are the products g*r and r*g over the generators g and the
     quadratic rules r (head - tail), reduced term by term as they are
-    formed, and the left-minus-right normal form of every tagged degree-3
-    word; entries of size <= keep are dropped.
-    The quadratic rules span the same complex space as the tag closure of
-    the relations, so their products span the same cubic part of the ideal.
-    The diamonds are the system's diamond_gaps, which skip the masks holding
-    free tags: their diamonds are copies of the ones without them.
+    formed; residuals no larger than keep are dropped.  The quadratic rules
+    span the same complex space as the tag closure of the relations, so
+    their products span the same cubic part of the ideal.
     """
     n, G = sys.n, sys.G
     out: list[FreeElement] = []
@@ -517,7 +499,6 @@ def completion_residuals(
                 red = FreeElement(n, G, acc)
                 if red.max_abs() > keep:
                     out.append(red)
-    out += [d for gaps in sys.diamond_gaps().values() for d in gaps if d.max_abs() > keep]
     return out
 
 
@@ -563,7 +544,7 @@ def quadratic_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionS
         "free_tags": [k + 1 for k in range(n) if unused >> k & 1],
         "tag_copies": copies,
         "pivot_threshold": PIVOT_THRESHOLD,
-        "keep": 1e-10 * max(1.0, *(r.max_abs() for r in closure)),
+        "keep": 1e-10 * max([1.0, *(r.max_abs() for r in closure)]),
     }
     rules = _lift_rules(_rref_rules(closure, n, G, stats=stats), unused)
     stats["quadratic_rules"] = len(rules)
@@ -575,54 +556,62 @@ def quadratic_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionS
 def build_reduction(quadratic: ReductionSystem) -> ReductionSystem:
     """Complete a quadratic system (see quadratic_reduction) at degree 3.
 
-    Cubic ideal elements that subword rewriting cannot resolve (see
-    completion_residuals) are row-reduced and adjoined as degree-3 rules,
-    lifted to every free-tag subset, until a round adds none, so normal
-    forms of degree <= 3 elements are unique.  The completion starts from a
-    new system and leaves `quadratic` as it was.  Its `stats` extend those
-    of `quadratic` with the residual rows and added rules per round and the
-    round count.
+    The cubic ideal elements (see completion_residuals) are row-reduced
+    once, and their pivots become degree-3 rules, lifted to every free-tag
+    subset.  One step is enough: every term of a residual is irreducible, so
+    in exact arithmetic every nonzero element of the degree-3 ideal whose
+    terms are all irreducible has a new pivot as its leading term.  That
+    makes the step complete whenever every quadratic head has degree 2 and
+    every new head degree 3; other inputs raise InconsistentIdeal.  The
+    completion reduces with a new system and leaves `quadratic` as it was.
+    Its `stats` extend those of `quadratic` with the residual rows and the
+    cubic rules, both counted over all n tags.
     """
     n, G, unused = quadratic.n, quadratic.G, quadratic.unused
-    stats = dict(quadratic.stats)
-    rules = dict(quadratic.rules)
-    rounds: list[dict] = []
-    sys = ReductionSystem(n, G, rules, unused)
-    if rules:
-        compact = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items() if not h[0] & unused]
-        for _ in range(10):
-            residuals = completion_residuals(sys, compact, stats["keep"])
-            added = {}
-            if residuals:
-                new = _rref_rules(residuals, n, G, stats=stats)
-                added = {h: t for h, t in _lift_rules(new, unused).items() if h not in rules}
-            rounds.append({"residual_rows": len(residuals) * stats["tag_copies"], "added_rules": len(added)})
-            if not added:
-                break
-            rules.update(added)
-            sys = ReductionSystem(n, G, rules, unused)
-    stats["rounds"] = rounds
-    stats["completion_rounds"] = len(rounds)
+    stats, rules = dict(quadratic.stats), quadratic.rules
+    _require_head_degree(rules, 2, "quadratic")
+    compact = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items() if not h[0] & unused]
+    residuals = completion_residuals(ReductionSystem(n, G, rules, unused), compact, stats["keep"])
+    cubic = _lift_rules(_rref_rules(residuals, n, G, stats=stats), unused)
+    _require_head_degree(cubic, 3, "completed")
+    stats["residual_rows"] = len(residuals) * stats["tag_copies"]
+    stats["cubic_rules"] = len(cubic)
+    sys = ReductionSystem(n, G, rules | cubic, unused)
     sys.stats = stats
     return sys
+
+
+def _require_head_degree(rules: Mapping[TermKey, FreeElement], degree: int, what: str) -> None:
+    low = [hw for _, hw in rules if len(hw) < degree]
+    if low:
+        raise InconsistentIdeal(
+            f"a {what} rule head of degree {len(low[0])} lies outside the one-step "
+            f"degree-3 completion, which needs degree {degree}"
+        )
 
 
 def confluence_check(sys: ReductionSystem) -> dict:
     """Left-first vs right-first reduction of every tagged degree-3 word.
 
     Every word is checked under every tag mask; `words_checked` counts the
-    words, `tagged_words_checked` the (mask, word) pairs.  The gaps are the
-    system's diamond_gaps, which a completed system has already computed in
-    its last round.  They cover the masks without free tags; each of those
-    stands for `tag_copies` masks whose gaps are exact copies of its own, so
-    a word's worst gap over them is its worst over every mask.
+    words, `tagged_words_checked` the (mask, word) pairs.  Only the masks
+    without free tags are visited: each of them stands for `tag_copies`
+    masks whose gaps are exact copies of its own (see _nf_term), so a word's
+    worst gap over them is its worst over every mask.
     """
-    gaps = sys.diamond_gaps()
-    words = product(range(sys.G), repeat=CLOSURE_DEGREE)
-    per_word = {w: worst_residual(d.max_abs() for d in gaps.get(w, ())) for w in words}
+    masks = [m for m in range(1 << sys.n) if not m & sys.unused]
+    per_word = {}
+    for word in product(range(sys.G), repeat=CLOSURE_DEGREE):
+        gaps = []
+        for mask in masks:
+            nl, nr = sys._nf(mask, word, "left"), sys._nf(mask, word, "right")
+            if nl != nr:
+                gaps += [abs(nl.get(k, 0j) - nr.get(k, 0j)) for k in nl.keys() | nr.keys()]
+        per_word[word] = worst_residual(gaps)
     failing = [w for w, diff in per_word.items() if not diff <= 1e-9]
     return {
         "degree": CLOSURE_DEGREE,
+        "rules": len(sys),
         "words_checked": len(per_word),
         "tagged_words_checked": len(per_word) * (1 << sys.n),
         "tag_copies": 1 << sys.unused.bit_count(),

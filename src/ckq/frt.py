@@ -51,8 +51,9 @@ GEN_INDEX = {name: g for g, name in enumerate(GEN_NAMES)}
 FROZEN_QUOTIENT_RANK = {"1,1": 46, "1,n": 44, "n,1": 44, "n,n": 29}
 # rules of the quotient per signature: the quadratic rules (`quadratic_system`,
 # one per rank of the relations' tag closure) and the rules completed at
-# degree 3 (`reduction_system`).  Measured to hold for 0.02 <= |v| <= 0.9; at
-# 1,1 below |v| ~ 0.015 the completion adopts several hundred extra rules.
+# degree 3 (`reduction_system`).  Measured to hold for 0.02 <= |v| <= 0.9.
+# Outside that range at 1,1, v = 1.1 still gives 280 rules and a confluent
+# system; at v = 0.01, 1.2, -1.5 and 2.5 (288 rules) confluence fails.
 FROZEN_QUADRATIC_RULES = {"1,1": 188, "1,n": 112, "n,1": 112, "n,n": 68}
 FROZEN_RULES = {"1,1": 280, "1,n": 178, "n,1": 186, "n,n": 114}
 

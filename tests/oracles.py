@@ -11,10 +11,11 @@ oracles keep the plain Gauss-Jordan elimination, which rescans every
 remaining row at every column, the completion residuals generated from
 the whole tag closure instead of from the quadratic rules, the build
 that eliminates and completes over every tag mask instead of factoring out
-the tags no relation carries, the confluence check that compares normal
-forms under every tag mask, and the exchange relations summed one whole
-element per product.  The series oracle keeps the monomial product
-that replays every letter push from the unit.  The Hopf-check oracles keep
+the tags no relation carries, the completion in rounds with diamond gaps
+among its residuals (the library row-reduces once), the confluence check
+that compares normal forms under every tag mask, and the exchange
+relations summed one whole element per product.  The series oracle keeps
+the monomial product that replays every letter push from the unit.  The Hopf-check oracles keep
 the coproduct check that maps and reduces every relation whole, with the
 tensor reduction that repeats full passes until one rewrites nothing, and
 the deformed-algebra products that take one ser_mul per term pair and per
@@ -44,6 +45,8 @@ from ckq.free_algebra import (
     NonTerminatingRules,
     ReductionSystem,
     TensorElement,
+    _lift_rules,
+    _require_head_degree,
     _rref_rules,
     coefficient_matrix,
     completion_residuals,
@@ -429,30 +432,64 @@ def closure_residuals(system, closure, keep):
     return out
 
 
-def reference_build_reduction(rs, n, G, pivot_threshold=PIVOT_THRESHOLD, complete=True):
-    """build_reduction over the full tag closure and every diamond mask."""
+def reference_build_reduction(rs, n, G, pivot_threshold=PIVOT_THRESHOLD):
+    """build_reduction over the full tag closure: one row reduction of the
+    products of every quadratic rule, with the same scope check."""
     closure = iota_closure(rs, n)
     stats = {"closure_rows": len(closure), "pivot_threshold": pivot_threshold}
     rules = _rref_rules(closure, n, G, pivot_threshold, stats)
     stats["quadratic_rules"] = len(rules)
+    _require_head_degree(rules, 2, "quadratic")
+    quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
+    keep = 1e-10 * max([1.0, *(r.max_abs() for r in closure)])
+    residuals = completion_residuals(ReductionSystem(n, G, rules), quadratic, keep)
+    cubic = _rref_rules(residuals, n, G, pivot_threshold, stats)
+    _require_head_degree(cubic, 3, "completed")
+    stats["residual_rows"] = len(residuals)
+    stats["cubic_rules"] = len(cubic)
+    system = ReductionSystem(n, G, rules | cubic)
+    system.stats = stats
+    return system
+
+
+def diamond_gaps(system):
+    """Left-first minus right-first normal form of every degree-3 word under
+    every tag mask without free tags, where the two differ."""
+    masks = [m for m in range(1 << system.n) if not m & system.unused]
+    gaps = []
+    for word in product(range(system.G), repeat=CLOSURE_DEGREE):
+        for mask in masks:
+            nl, nr = system._nf(mask, word, "left"), system._nf(mask, word, "right")
+            if nl != nr:
+                d = {k: nl.get(k, 0j) - nr.get(k, 0j) for k in set(nl) | set(nr)}
+                gaps.append(FreeElement(system.n, system.G, d))
+    return gaps
+
+
+def multi_round_build_reduction(quadratic):
+    """build_reduction in rounds: each round row-reduces the products g*r and
+    r*g and the diamond gaps of the current system, and rounds repeat until
+    one adds no rule, at most ten times."""
+    n, G, unused = quadratic.n, quadratic.G, quadratic.unused
+    stats = dict(quadratic.stats)
+    rules = dict(quadratic.rules)
     rounds = []
-    system = ReductionSystem(n, G, rules)
-    if complete and rules:
-        quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
-        keep = 1e-10 * max(1.0, max(r.max_abs() for r in closure))
+    system = ReductionSystem(n, G, rules, unused)
+    if rules:
+        compact = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items() if not h[0] & unused]
         for _ in range(10):
-            residuals = completion_residuals(system, quadratic, keep)
+            residuals = completion_residuals(system, compact, stats["keep"])
+            residuals += [d for d in diamond_gaps(system) if d.max_abs() > stats["keep"]]
             added = {}
             if residuals:
-                new = _rref_rules(residuals, n, G, pivot_threshold, stats)
-                added = {h: t for h, t in new.items() if h not in rules}
-            rounds.append({"residual_rows": len(residuals), "added_rules": len(added)})
+                new = _rref_rules(residuals, n, G, stats=stats)
+                added = {h: t for h, t in _lift_rules(new, unused).items() if h not in rules}
+            rounds.append({"residual_rows": len(residuals) * stats["tag_copies"], "added_rules": len(added)})
             if not added:
                 break
             rules.update(added)
-            system = ReductionSystem(n, G, rules)
+            system = ReductionSystem(n, G, rules, unused)
     stats["rounds"] = rounds
-    stats["completion_rounds"] = len(rounds)
     system.stats = stats
     return system
 
@@ -474,6 +511,7 @@ def reference_confluence_check(system):
             failing.append(word)
     return {
         "degree": CLOSURE_DEGREE,
+        "rules": len(system),
         "words_checked": len(per_word),
         "tagged_words_checked": len(per_word) * len(masks),
         "max_discrepancy": worst_residual(per_word),

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from ckq import dual, free_algebra, frt
 from ckq.cli import APART, CHECKS, SUITES, cli
+from ckq.pimenov import ParameterSignature
 
 
 @pytest.fixture
@@ -151,6 +152,20 @@ def test_non_terminating_rewriting_is_usage_error(runner):
     res = runner.invoke(cli, ["verify", "frt", "--j", "1,1", "--v", "1e-5"])
     assert res.exit_code == 2, res.output
     assert "did not terminate" in res.output
+
+
+@pytest.mark.parametrize("v_text", ["1.1", "1.2", "-1.5", "0.01", "2.5"])
+def test_verify_all_passes_at_1_1_only_with_the_frozen_rules(runner, v_text):
+    # a completion that adopts extra rules passes confluence on a collapsed
+    # quotient, so a pass must come with the frozen rule count; where the
+    # floats cannot give a confluent system the check fails visibly
+    res = runner.invoke(cli, ["verify", "all", "--j", "1,1", "--v", v_text])
+    reports = {r["check"]: r for r in map(json.loads, lines_of(res))}
+    rules = len(frt.reduction_system(ParameterSignature.parse("1,1"), complex(v_text)))
+    if reports["frt.confluence"]["pass"]:
+        assert rules == frt.FROZEN_RULES["1,1"]
+    assert reports["frt.confluence"]["pass"] == (v_text == "1.1")
+    assert res.exit_code == (0 if v_text == "1.1" else 1), res.output
 
 
 def test_verify_all_contracted(runner):

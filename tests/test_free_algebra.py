@@ -109,6 +109,32 @@ def test_inconsistent_ideal_detected():
         quadratic_reduction([one], n, G)
 
 
+def test_empty_relation_set_gives_empty_systems():
+    quadratic = quadratic_reduction([FreeElement(3, 3)], 3, 3)
+    assert len(quadratic) == 0 and quadratic.stats["keep"] == 1e-10
+    completed = build_reduction(quadratic)
+    assert len(completed) == 0
+    assert completed.stats["residual_rows"] == completed.stats["cubic_rules"] == 0
+    assert confluence_check(completed)["confluent"]
+
+
+def test_linear_head_is_outside_the_completion():
+    n, G = 1, 2
+    quadratic = quadratic_reduction([gen(1, n, G) - gen(0, n, G)], n, G)
+    assert {hw for _, hw in quadratic.rules} == {(1,)}
+    with pytest.raises(InconsistentIdeal, match="quadratic rule head of degree 1"):
+        build_reduction(quadratic)
+
+
+def test_quadratic_head_after_completion_is_outside_it():
+    # x*(xx - y) reduces to yx - xy: the ideal has a quadratic element that
+    # the relation's tag closure does not span, and one step cannot adopt it
+    n, G = 1, 2
+    x, y = gen(0, n, G), gen(1, n, G)
+    with pytest.raises(InconsistentIdeal, match="completed rule head of degree 2"):
+        build_reduction(quadratic_reduction([x * x - y], n, G))
+
+
 def test_iota_closure_splits_masks():
     n, G = 2, 2
     t1 = PimenovElement.tag(n, 1)
