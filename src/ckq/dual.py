@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Mapping, Sequence
+from itertools import chain, product, repeat
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -408,46 +408,23 @@ def ser_sqrt(a: np.ndarray, d: int) -> np.ndarray:
 
 
 def _batch_ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated w-series products of a and b along the last axis, broadcast."""
-    d1 = a.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    # w-orders where a is zero everywhere add nothing
-    for k in np.flatnonzero(a.reshape(-1, d1).any(axis=0)):
-        out[..., k:] += a[..., k, None] * b[..., : d1 - k]
+    """Row-wise truncated w-series products of two (rows, d + 1) arrays.
+
+    The loop runs over the w-orders where the sparser operand has a nonzero
+    row; the other orders add nothing."""
+    d1 = a.shape[1]
+    nz_a, nz_b = np.flatnonzero(a.any(axis=0)), np.flatnonzero(b.any(axis=0))
+    if len(nz_b) < len(nz_a):
+        a, b, nz_a = b, a, nz_b
+    out = np.zeros(a.shape, dtype=complex)
+    for k in nz_a:
+        out[:, k:] += a[:, k, None] * b[:, : d1 - k]
     return out
 
 
-_BULK_ROWS = 1024
-
-
-def _bulk_product(alg: "SowAlgebra", x: Mapping, y: Mapping, expand) -> dict:
-    """Sum over the term pairs of x and y of coefficient products times monomial series.
-
-    expand(kx, ky) yields (output key, tuple of w-series): every contribution
-    is the coefficient product of the pair times each series in turn, and
-    the contributions are summed into their keys in the order they come.
-    """
-    d1 = alg.dw + 1
-    # explicit shapes: an empty operand still broadcasts
-    a = np.array(list(x.values())).reshape(len(x), d1)
-    b = np.array(list(y.values())).reshape(len(y), d1)
-    pairs = _batch_ser_mul(a[:, None], b[None, :]).reshape(len(x) * len(y), d1)
-    keys: dict = {}
-    rows, slots, factors = [], [], []
-    for p, (kx, ky) in enumerate(product(x, y)):
-        for key, series in expand(kx, ky):
-            rows.append(p)
-            slots.append(keys.setdefault(key, len(keys)))
-            factors.append(series)
-    acc = np.zeros((len(keys), d1), dtype=complex)
-    # in chunks of rows, which bounds the temporaries; np.add.at adds in row order
-    for start in range(0, len(rows), _BULK_ROWS):
-        chunk = slice(start, start + _BULK_ROWS)
-        contributions = pairs[rows[chunk]]
-        for series in zip(*factors[chunk]):
-            contributions = _batch_ser_mul(contributions, np.array(series))
-        np.add.at(acc, slots[chunk], contributions)
-    return {k: acc[q] for k, q in keys.items()}
+# From this many rows on, batched products beat a ser_mul per row.
+_BATCH_ROWS = 16
+_CHUNK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +516,62 @@ class SowAlgebra:
         """{key: the w-series 1}, for a monomial or a tensor-square key."""
         return {key: self.w_mono(0, 1.0)}
 
-    def _combine(self, state: Mapping, image: Callable[..., Mapping]) -> dict:
-        """Linear extension: the sum of ser_mul(coefficient, image(key)[k]) over state, in
-        the order of state, then of each image; keys whose sum is zero are dropped."""
-        out: dict = {}
-        for key, coeff in state.items():
-            for k2, c2 in image(key).items():
-                add = ser_mul(coeff, c2, self.dw)
-                out[k2] = out[k2] + add if k2 in out else add
-        return {k: c for k, c in out.items() if c.any()}
+    def _sum(self, heads: tuple[list, ...], index: Sequence[int], keys: Sequence,
+             series: Sequence[Sequence[np.ndarray]], start: Mapping = {}) -> dict:
+        """Sum over rows r of head index[r] times series[0][r], series[1][r], ...
+        in turn, into keys[r]: after the entries of `start`, in row order.  Keys
+        whose sum is zero are dropped.
+
+        `heads` holds one list of w-series, or two lists of the same length
+        whose entries at p multiply to head p; rows may share a head.  Below
+        _BATCH_ROWS rows every product is one ser_mul.  From there on the heads
+        are one _batch_ser_mul over (heads, dw + 1) arrays, each series column
+        one more over (rows, dw + 1) arrays, and np.add.at adds the products in
+        row order, in chunks of rows, which bounds the temporaries.  The two
+        paths agree within rounding (np.convolve sums in its own order).
+        """
+        dw = self.dw
+        if len(keys) < _BATCH_ROWS:
+            if len(heads) == 2:
+                heads = ([ser_mul(x, y, dw) for x, y in zip(*heads)],)
+            out = dict(start)
+            for key, p, *factors in zip(keys, index, *series):
+                prod = heads[0][p]
+                for f in factors:
+                    prod = ser_mul(prod, f, dw)
+                out[key] = out[key] + prod if key in out else prod
+            return {k: c for k, c in out.items() if np.count_nonzero(c)}
+        head = np.array(heads[0])
+        if len(heads) == 2:
+            head = _batch_ser_mul(head, np.array(heads[1]))
+        index = np.asarray(index)
+        slot = {k: q for q, k in enumerate(dict.fromkeys([*start, *keys]))}
+        slots = list(map(slot.__getitem__, keys))
+        acc = np.zeros((len(slot), dw + 1), dtype=complex)
+        if start:
+            acc[: len(start)] = list(start.values())
+        for begin in range(0, len(keys), _CHUNK_ROWS):
+            rows = slice(begin, begin + _CHUNK_ROWS)
+            prod = head[index[rows]]
+            for column in series:
+                prod = _batch_ser_mul(prod, np.array(column[rows]))
+            np.add.at(acc, slots[rows], prod)
+        nonzero = acc.any(axis=1).tolist()
+        return {k: acc[q] for (k, q), nz in zip(slot.items(), nonzero) if nz}
+
+    def _combine(self, state: Mapping, image: Callable[..., Mapping], start: Mapping = {}) -> dict:
+        """Linear extension: the sum of coefficient * image(key)[k] over state, in
+        the order of state, then of each image, after the entries of `start`;
+        keys whose sum is zero are dropped."""
+        index: list[int] = []
+        keys: list = []
+        images: list[np.ndarray] = []
+        for p, key in enumerate(state):
+            img = image(key)
+            index += [p] * len(img)
+            keys += img
+            images += img.values()
+        return self._sum((list(state.values()),), index, keys, [images], start)
 
     @staticmethod
     def _times_x12(state: dict[Key, np.ndarray]) -> dict[Key, np.ndarray]:
@@ -564,12 +588,11 @@ class SowAlgebra:
             out = self._unit_map((a + 1, 0, 0))
         elif b > 0:
             # ... X12^b X01 = (... X12^{b-1} X01) X12 + ... X12^{b-1} sinh(w X02)/w
-            out = self._times_x12(self._push01((a, m, b - 1)))
-            for p, arr in self.sinh_over_w():
-                for k2, c in self.mono_mul((a, m, b - 1), (0, p, 0)).items():
-                    add = ser_mul(c, arr, self.dw)
-                    out[k2] = out[k2] + add if k2 in out else add
-            out = {k: c for k, c in out.items() if c.any()}
+            out = self._combine(
+                dict(self.sinh_over_w()),
+                lambda p: self.mono_mul((a, m, b - 1), (0, p, 0)),
+                start=self._times_x12(self._push01((a, m, b - 1))),
+            )
         else:
             # X02^m X01 = (X02^{m-1} X01) X02 - j1^2 X02^{m-1} X12
             out = self._combine(self._push01((a, m - 1, 0)), self._push02)
@@ -577,7 +600,7 @@ class SowAlgebra:
                 k3 = (a, m - 1, 1)
                 add = self.w_mono(0, -self.j1sq)
                 out[k3] = out[k3] + add if k3 in out else add
-            out = {k: c for k, c in out.items() if c.any()}
+            out = {k: c for k, c in out.items() if np.count_nonzero(c)}
         self._push01_memo[key] = out
         return out
 
@@ -600,30 +623,62 @@ class SowAlgebra:
                 for k2, c in self._push01((a, m, b - 1)).items():
                     add = c * (-self.j2sq)
                     out[k2] = out[k2] + add if k2 in out else add
-            out = {k: c for k, c in out.items() if c.any()}
+            out = {k: c for k, c in out.items() if np.count_nonzero(c)}
         self._push02_memo[key] = out
         return out
 
     def mono_mul(self, k1: Key, k2: Key) -> dict[Key, np.ndarray]:
-        """Normal ordering of k1 * k2: push X01^a2 then X02^m2 into k1, append X12^b2.
-
-        Each push extends the memoized product by the prefix of k2 one letter
-        shorter, so X02^m costs m pushes, not m^2.
-        """
+        """Normal ordering of k1 * k2: push X01^a2 then X02^m2 into k1, append X12^b2."""
         hit = self._mono_memo.get((k1, k2))
         if hit is not None:
             return hit
         a2, m2, b2 = k2
         if b2:
             state = {(a, m, b + b2): c for (a, m, b), c in self.mono_mul(k1, (a2, m2, 0)).items()}
-        elif m2:
-            state = self._combine(self.mono_mul(k1, (a2, m2 - 1, 0)), self._push02)
-        elif a2:
-            state = self._combine(self.mono_mul(k1, (a2 - 1, 0, 0)), self._push01)
+        elif a2 or m2:
+            self._push_products([(k1, k2)])
+            return self._mono_memo[(k1, k2)]
         else:
             state = self._unit_map(k1)
         self._mono_memo[(k1, k2)] = state
         return state
+
+    def _push_products(self, pairs: Iterable[tuple[Key, Key]]) -> None:
+        """Memoize mono_mul(k1, (a2, m2, 0)) for the pairs (k1, k2), one pushed
+        letter per step.  Each product extends the memoized one whose prefix of
+        k2 is one letter shorter, so X02^m costs m pushes, not m^2, and the
+        products of all pairs at the same step are one batched sum."""
+        pending: dict[tuple[Key, Key], int] = {}  # product -> its step
+        for k1, (a, m, _) in pairs:
+            while a or m:
+                pair = (k1, (a, m, 0))
+                if pair in self._mono_memo or pair in pending:
+                    break
+                pending[pair] = a + m
+                a, m = (a, m - 1) if m else (a - 1, 0)
+        steps: dict[int, list[tuple[Key, Key]]] = {}
+        for pair, step in pending.items():
+            steps.setdefault(step, []).append(pair)
+        for step in sorted(steps):
+            todo = [pair for pair in steps[step] if pair not in self._mono_memo]
+            heads: list[np.ndarray] = []
+            index: list[int] = []
+            keys: list[tuple[int, Key]] = []
+            images: list[np.ndarray] = []
+            for e, (k1, (a, m, _)) in enumerate(todo):
+                prefix, push = ((a, m - 1, 0), self._push02) if m else ((a - 1, 0, 0), self._push01)
+                for key, coeff in self.mono_mul(k1, prefix).items():
+                    img = push(key)
+                    index += [len(heads)] * len(img)
+                    heads.append(coeff)
+                    keys += zip(repeat(e), img)
+                    images += img.values()
+            states: list[dict[Key, np.ndarray]] = [{} for _ in todo]
+            for (e, k), c in self._sum((heads,), index, keys, [images]).items():
+                states[e][k] = c
+            for pair, state in zip(todo, states):
+                # a push may have memoized the product already
+                self._mono_memo.setdefault(pair, state)
 
     # -- Hopf data ---------------------------------------------------------
 
@@ -695,10 +750,7 @@ class SowAlgebra:
         return hit
 
     def antipode(self, x: "SowElement") -> "SowElement":
-        out = self.zero()
-        for key, c in x.terms.items():
-            out = out + self.antipode_mono(key) * c
-        return out
+        return SowElement(self, self._combine(x.terms, lambda key: self.antipode_mono(key).terms))
 
 
 class SowElement:
@@ -711,10 +763,11 @@ class SowElement:
     """
 
     __slots__ = ("alg", "terms")
+    _FACTORS = 1  # w-series per contribution of a monomial product
 
     def __init__(self, alg: SowAlgebra, terms: Mapping[Key, np.ndarray]):
         self.alg = alg
-        self.terms = {k: c for k, c in terms.items() if c.any()}
+        self.terms = {k: c for k, c in terms.items() if np.count_nonzero(c)}
 
     def __add__(self, other: "SowElement") -> "SowElement":
         out = dict(self.terms)
@@ -727,7 +780,7 @@ class SowElement:
 
     def __mul__(self, other) -> "SowElement":
         if type(other) is type(self):
-            return type(self)(self.alg, _bulk_product(self.alg, self.terms, other.terms, self._expand))
+            return type(self)(self.alg, _products_sum([(self, other)]))
         if isinstance(other, np.ndarray):  # a w-series
             dw = self.alg.dw
             return type(self)(self.alg, {k: ser_mul(c, other, dw) for k, c in self.terms.items()})
@@ -736,9 +789,16 @@ class SowElement:
     __rmul__ = __mul__
     __array_ufunc__ = None  # a w-series on the left defers to __rmul__
 
-    def _expand(self, k1: Key, k2: Key):
-        """The (key, w-series factors) contributions of the monomial product k1 * k2."""
-        return ((k3, (arr,)) for k3, arr in self.alg.mono_mul(k1, k2).items())
+    @staticmethod
+    def _monomial_pairs(x: Mapping, y: Mapping) -> Iterable[tuple[Key, Key]]:
+        """The monomial products that the product of terms x and y reads."""
+        return product(x, y)
+
+    def _expand(self, k1: Key, k2: Key) -> tuple[list, list[list]]:
+        """The monomial product k1 * k2: its keys and its w-series factors, one
+        list per factor."""
+        prod = self.alg.mono_mul(k1, k2)
+        return list(prod), [list(prod.values())]
 
     @staticmethod
     def _x02_degree(key: Key) -> int:
@@ -757,15 +817,48 @@ class SowTensor2(SowElement):
     """Element of the tensor square: (left key, right key) -> w-series coefficient."""
 
     __slots__ = ()
+    _FACTORS = 2
+
+    @staticmethod
+    def _monomial_pairs(x: Mapping, y: Mapping) -> Iterable[tuple[Key, Key]]:
+        def bank(i):
+            return product(dict.fromkeys(k[i] for k in x), dict.fromkeys(k[i] for k in y))
+
+        return chain(bank(0), bank(1))
 
     def _expand(self, k1: tuple[Key, Key], k2: tuple[Key, Key]):
         # the left bank's series is applied before the right bank's
         left, right = self.alg.mono_mul(k1[0], k2[0]), self.alg.mono_mul(k1[1], k2[1])
-        return (((kl, kr), (al, ar)) for kl, al in left.items() for kr, ar in right.items())
+        keys = [(kl, kr) for kl in left for kr in right]
+        return keys, [[al for al in left.values() for _ in right], [*right.values()] * len(left)]
 
     @staticmethod
     def _x02_degree(key: tuple[Key, Key]) -> int:
         return max(key[0][1], key[1][1])
+
+
+def _products_sum(factors: Sequence[tuple[SowElement, SowElement]]) -> dict:
+    """The terms of the sum of x * y over the factor pairs, as one batched sum:
+    per pair, per term pair, each contribution of the monomial product, with
+    the two coefficients multiplied before the contribution's series."""
+    alg = factors[0][0].alg
+    left: list[np.ndarray] = []
+    right: list[np.ndarray] = []
+    index: list[int] = []
+    keys: list = []
+    series: list[list[np.ndarray]] = [[] for _ in range(factors[0][0]._FACTORS)]
+    alg._push_products(chain.from_iterable(x._monomial_pairs(x.terms, y.terms) for x, y in factors))
+    for x, y in factors:
+        for (k1, c1), (k2, c2) in product(x.terms.items(), y.terms.items()):
+            k3, columns = x._expand(k1, k2)
+            if k3:
+                index += [len(left)] * len(k3)
+                keys += k3
+                left.append(c1)
+                right.append(c2)
+                for s, column in zip(series, columns):
+                    s += column
+    return alg._sum((left, right), index, keys, series)
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +893,12 @@ def verify_sow_hopf(sig: ParameterSignature, dw: int = 8) -> dict:
     # antipode axiom m(S x id)Delta = counit = m(id x S)Delta on generators
     for nm in ("X01", "X02", "X12"):
         d = D[nm].terms.items()
-        acc1 = sum((alg.antipode_mono(k1) * SowElement(alg, {k2: c}) for (k1, k2), c in d), alg.zero())
-        acc2 = sum((SowElement(alg, {k1: c}) * alg.antipode_mono(k2) for (k1, k2), c in d), alg.zero())
+        # each side is one batched sum over the coproduct's terms
+        sides = (
+            [(alg.antipode_mono(k1), SowElement(alg, {k2: c})) for (k1, k2), c in d],
+            [(SowElement(alg, {k1: c}), alg.antipode_mono(k2)) for (k1, k2), c in d],
+        )
+        acc1, acc2 = (SowElement(alg, _products_sum(side)) for side in sides)
         res[f"antipode_{nm}"] = worst_residual(
             (acc1.max_abs(w_cap=dw, x_cap=dw), acc2.max_abs(w_cap=dw, x_cap=dw))
         )
@@ -880,8 +977,9 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
     half_t = ser_mul(0.5 * w_shift, T2, d)  # -i * (1/J) tanh(Jv/2) = -i(w/2)T
     j1sq, j2sq = alg.j1sq, alg.j2sq
 
-    r1 = (l11 * l12) * ch - l12 * l11 - (l11 * lt12) * (1j * j1sq) * K1
-    r2 = (l11 * lt12) * ch - lt12 * l11 + (l11 * l12) * (1j * j2sq) * K1
+    l11_l12, l11_lt12 = l11 * l12, l11 * lt12
+    r1 = l11_l12 * ch - l12 * l11 - l11_lt12 * (1j * j1sq) * K1
+    r2 = l11_lt12 * ch - lt12 * l11 + l11_l12 * (1j * j2sq) * K1
     one = alg.one()
     r3 = (
         (l12 * lt12 - lt12 * l12) * kappa

@@ -7,9 +7,10 @@ deformation parameter v is numerically sampled; nilpotent signature slots
 are carried exactly, so contracted cases are structurally exact.
 
 The generator matrix is assembled in one place, `generator_matrix`, over
-any values of the nine generators.  The counit, the coproduct and the
-contraction's rescaling are algebra maps given by their generator images
-and extended by `free_algebra.algebra_map`.  Relation sets are tuples.
+any values of the nine generators.  The counit and the coproduct are
+algebra maps given by their generator images and extended by
+`free_algebra.algebra_map`; the contraction's rescaling is diagonal and is
+applied term by term.  Relation sets are tuples.
 `quadratic_system` holds the quadratic rules that the degree-2 Hopf checks
 read; `reduction_system` completes them at degree 3 for the confluence check.
 """
@@ -512,14 +513,33 @@ _SUBST_EXPONENTS = {
 
 
 def substitute_generators(sig: ParameterSignature, relations: Sequence[FreeElement]) -> list[FreeElement]:
-    """Rescale each generator by its contraction j-monomial, in every relation."""
-    n = sig.n_slots
-    images = {
-        g: FreeElement.generator(n, NGEN, g) * mono_eval(sig, (1, e1, e2))
-        for g, (e1, e2) in _SUBST_EXPONENTS.items()
-    }
-    unit = FreeElement.const(n, NGEN, 1.0)
-    return [algebra_map(r, images, unit) for r in relations]
+    """Rescale each generator by its contraction j-monomial, in every relation.
+
+    The map is diagonal, so it is applied term by term: a term keeps its word
+    and takes the j-monomials of its letters, left to right, then its own
+    coefficient.  The arithmetic is that of `algebra_map` on the generator
+    images, with each product added to 0j; a term whose tags overlap
+    vanishes."""
+    scales = {}
+    for g, (e1, e2) in _SUBST_EXPONENTS.items():
+        ((mask, c),) = mono_eval(sig, (1, e1, e2)).coeffs.items()  # a j-monomial
+        scales[g] = (mask, 0j + (1 + 0j) * c)
+    out = []
+    for r in relations:
+        terms: dict = {}
+        for (mask, word), c in r.terms.items():
+            acc_mask, acc = 0, 1 + 0j
+            for g in word:
+                m, s = scales[g]
+                if acc_mask & m:
+                    break
+                acc_mask, acc = acc_mask | m, 0j + acc * s
+            else:
+                if not acc_mask & mask:
+                    key = (acc_mask | mask, word)
+                    terms[key] = terms.get(key, 0j) + (0j + acc * c)
+        out.append(FreeElement(r.n, r.G, terms))
+    return out
 
 
 def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:

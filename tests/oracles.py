@@ -14,8 +14,10 @@ that eliminates and completes over every tag mask instead of factoring out
 the tags no relation carries, the completion in rounds with diamond gaps
 among its residuals (the library row-reduces once), the confluence check
 that compares normal forms under every tag mask, and the exchange
-relations summed one whole element per product.  The series oracle keeps
-the monomial product that replays every letter push from the unit.  The Hopf-check oracles keep
+relations summed one whole element per product, and the contraction's
+rescaling extended as an algebra map from the rescaled generators.  The
+series oracles keep the monomial product that replays every letter push from
+the unit and the linear extension with one ser_mul per term pair.  The Hopf-check oracles keep
 the coproduct check that maps and reduces every relation whole, with the
 tensor reduction that repeats full passes until one rewrites nothing, and
 the deformed-algebra products that take one ser_mul per term pair and per
@@ -48,6 +50,7 @@ from ckq.free_algebra import (
     _lift_rules,
     _require_head_degree,
     _rref_rules,
+    algebra_map,
     coefficient_matrix,
     completion_residuals,
     iota_closure,
@@ -545,9 +548,30 @@ def reference_rtt_relations(R, attachments=True):
     return tuple(relations)
 
 
+def reference_substitute_generators(sig, relations):
+    """The contraction's rescaling as the algebra map fixed by the rescaled generators."""
+    n = sig.n_slots
+    images = {
+        g: FreeElement.generator(n, frt.NGEN, g) * frt.mono_eval(sig, (1, e1, e2))
+        for g, (e1, e2) in frt._SUBST_EXPONENTS.items()
+    }
+    unit = FreeElement.const(n, frt.NGEN, 1.0)
+    return [algebra_map(r, images, unit) for r in relations]
+
+
 # ---------------------------------------------------------------------------
-# Series-algebra oracle
+# Series-algebra oracles
 # ---------------------------------------------------------------------------
+
+
+def reference_combine(alg, state, image):
+    """The linear extension with one ser_mul per (state term, image term) pair, summed in order."""
+    out = {}
+    for key, coeff in state.items():
+        for k2, c2 in image(key).items():
+            add = dual.ser_mul(coeff, c2, alg.dw)
+            out[k2] = out[k2] + add if k2 in out else add
+    return {k: c for k, c in out.items() if c.any()}
 
 
 def replay_mono_mul(alg, k1, k2):

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckq import dual
@@ -15,6 +15,7 @@ from ckq.pimenov import ParameterSignature
 from oracles import (
     assembled_slice,
     reference_L_relations,
+    reference_combine,
     reference_sow_mul,
     reference_tensor2_mul,
     replay_mono_mul,
@@ -185,6 +186,19 @@ MONO_KEYS = [(a, m, b) for a in range(3) for m in range(4) for b in range(3)]
 
 
 @pytest.mark.parametrize("sig_text", ["1,1", "n,n"])
+def test_step_sums_equal_letter_replay(sig_text):
+    # the pushes of many products at one step are one sum, split by product
+    # afterwards; each product equals its pushes replayed from the unit
+    alg = dual.SowAlgebra(sig_of(sig_text), dw=6, dx=6)
+    pairs = [(k1, k2) for k1 in MONO_KEYS[::3] for k2 in MONO_KEYS]
+    alg._push_products(pairs)
+    for k1, k2 in pairs:
+        got, want = alg.mono_mul(k1, k2), replay_mono_mul(alg, k1, k2)
+        assert list(got) == list(want)
+        assert all(np.abs(got[k] - want[k]).max() <= 1e-13 * max(1.0, np.abs(want[k]).max()) for k in got)
+
+
+@pytest.mark.parametrize("sig_text", ["1,1", "n,n"])
 def test_monomial_hopf_images_equal_letter_by_letter_products(sig_text):
     # each image extends its memoized neighbour one letter shorter: the same
     # products, in the same order, as multiplying every letter in from the unit
@@ -249,6 +263,40 @@ def test_batched_tensor_product_equals_per_term_reference(sig_text, sizes, seed)
     assert_products_agree(x * y, reference_tensor2_mul(x, y))
 
 
+CANCELLING = ((9, 9, 0), (9, 9, 1))  # two state keys whose images cancel at (9, 9, 9)
+
+
+@given(
+    sizes=st.lists(st.integers(0, 4), max_size=12),
+    cancel=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[], cancel=False, seed=0)  # an empty state
+@example(sizes=[0], cancel=False, seed=0)  # an image that returns {}
+@example(sizes=[4] * 12, cancel=True, seed=1)  # batched, with a sum that cancels
+@example(sizes=[1], cancel=True, seed=2)  # one ser_mul per row, with a sum that cancels
+@settings(max_examples=40, deadline=None)
+def test_batched_combine_equals_per_term_reference(sizes, cancel, seed):
+    # the batched path (from dual._BATCH_ROWS rows on) and the per-term one
+    # agree within rounding, with the same keys in the same order; an exact
+    # zero sum drops its key on both
+    rng = np.random.default_rng(seed)
+    alg = dual.SowAlgebra(sig_of("1,1"), dw=6, dx=6)
+    keys = random_keys(rng, len(sizes))
+    state = {k: random_series(rng, alg) for k in keys}
+    images = {k: {k2: random_series(rng, alg) for k2 in random_keys(rng, n)} for k, n in zip(keys, sizes)}
+    if cancel:
+        c, u = random_series(rng, alg) + 1.0, random_series(rng, alg) + 1.0
+        state.update({CANCELLING[0]: c, CANCELLING[1]: -c})
+        images.update({k: {(9, 9, 9): u} for k in CANCELLING})
+    got, want = alg._combine(state, images.__getitem__), reference_combine(alg, state, images.__getitem__)
+    assert list(got) == list(want)
+    assert (9, 9, 9) not in got
+    scale = max([1.0, *(np.abs(c).max() for c in want.values())])
+    for k, c in want.items():
+        assert np.abs(got[k] - c).max() <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("sig_text", ["1,1", "n,n"])
 def test_hopf_checks_equal_per_term_products_bit_for_bit(sig_text, monkeypatch):
     sig = sig_of(sig_text)
@@ -266,7 +314,7 @@ def test_hopf_checks_equal_per_term_products_bit_for_bit(sig_text, monkeypatch):
 
 
 def test_products_with_a_zero_operand_are_zero():
-    # an empty operand has no coefficient rows; the bulk product must still shape them
+    # an empty operand gives no rows; the sum must still return the operand's type
     alg = dual.SowAlgebra(sig_of("n,n"), dw=4, dx=4)
     x = alg.word(["X12", "X01"]) + alg.gen("X02") * 0.5
     t = alg.delta_gen("X01")

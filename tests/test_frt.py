@@ -22,7 +22,11 @@ from ckq.free_algebra import (
 )
 from ckq.frt import FROZEN_QUOTIENT_RANK
 from ckq.pimenov import ParameterSignature, PimenovElement, worst_residual
-from oracles import reference_coproduct_compatibility, reference_rtt_relations
+from oracles import (
+    reference_coproduct_compatibility,
+    reference_rtt_relations,
+    reference_substitute_generators,
+)
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
 CONTRACTED_SIGS = ["1,n", "n,1", "n,n"]
@@ -297,6 +301,23 @@ def test_contraction_ranks_equal_full_closure_ranks(sig_text):
     rep = frt.verify_contraction_transform(sig, v)
     assert ranks == [rep["rank_direct"], rep["rank_substituted"], rep["rank_union"]]
     assert off_span <= 1e-9 and rep["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_term_by_term_substitution_equals_the_algebra_map(sig_text):
+    # the same keys in the same order, with the same coefficient bits; the
+    # signed zeros of the last element show that each product is added to 0j
+    sig = sig_of(sig_text)
+    signed_zeros = FreeElement(
+        sig.n_slots, frt.NGEN, {(0, (g,)): complex(-1.0, -0.0) for g in range(frt.NGEN)}
+    )
+    for v in V_SAMPLES:
+        relations = [*frt.full_relations(sig, v, attachments=False), signed_zeros]
+        got = frt.substitute_generators(sig, relations)
+        want = reference_substitute_generators(sig, relations)
+        assert [[(k, repr(c)) for k, c in r.terms.items()] for r in got] == [
+            [(k, repr(c)) for k, c in r.terms.items()] for r in want
+        ]
 
 
 @pytest.mark.parametrize("sig_text", ["1,n", "n,n"])
