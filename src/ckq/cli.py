@@ -187,9 +187,10 @@ class _Inputs:
         return str(self.group.sig if suite == "classical" else self.sig)
 
 
-def _judged(report: dict, **fields) -> dict:
-    """A library report's residual and its own verdict, plus the fields to print."""
-    return {"residual": report["residual"], "pass": report["pass"], **fields}
+def _judged(report: dict, *keys: str, **fields) -> dict:
+    """A library report's residual, its own verdict and the named report
+    fields, plus the fields to print."""
+    return {k: report[k] for k in ("residual", "pass", *keys)} | fields
 
 
 def _translation_drift() -> float:
@@ -241,8 +242,8 @@ CHECKS: dict[str, tuple[str, float | None, Callable[[_Inputs], float | dict]]] =
     "frt.counit": ("frt", 1e-12, lambda x: {"residual": frtmod.counit_residual(x.sig, x.v), "v": x.vs}),
     "frt.antipode": ("frt", None, lambda x: _judged(frtmod.antipode_check(x.sig, x.v), v=x.vs)),
     "frt.coproduct": ("frt", None, lambda x: _judged(frtmod.coproduct_compatibility(x.sig, x.v), v=x.vs)),
-    "frt.contraction": (
-        "frt", None, lambda x: _judged(frtmod.verify_contraction_transform(x.sig, x.v), v=x.vs)),
+    "frt.contraction": ("frt", None, lambda x: _judged(
+        frtmod.verify_contraction_transform(x.sig, x.v), "relations", "terms", v=x.vs)),
     "dual.pairing": ("dual", None, lambda x: _judged(dualmod.verify_pairing_table(x.sig, x.v), v=x.vs)),
     "dual.lrel": ("dual", None, lambda x: _judged(dualmod.verify_L_relations(x.sig, x.v), v=x.vs)),
     "dual.commutators": (

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pimenov import NotInvertible, PimenovElement, Scalar, tag_product, worst_residual
+from .pimenov import NotInvertible, PimenovElement, Scalar, _inverse, _support, tag_product, worst_residual
 
 
 class DMatrix:
@@ -97,24 +97,13 @@ class DMatrix:
         return DMatrix(self.n, self.size * other.size, blocks)
 
     def inv(self) -> "DMatrix":
-        """Inverse when the scalar block is invertible: the remainder is
-        nilpotent, so a terminating geometric series finishes the job."""
-        b0 = self.scalar_block()
+        """Inverse when the scalar block is invertible, by `pimenov._inverse`
+        over the blocks: the nilpotent rest is split off one tag at a time."""
         try:
-            b0_inv = np.linalg.inv(b0)
-        except np.linalg.LinAlgError as exc:
+            blocks = _inverse(self.blocks, _support(self.blocks), np.linalg.inv, np.matmul)
+        except (KeyError, np.linalg.LinAlgError) as exc:  # no scalar block, or a singular one
             raise NotInvertible("scalar block is singular") from exc
-        lead = DMatrix(self.n, self.size, {0: b0_inv})
-        rest = DMatrix(self.n, self.size, {m: b for m, b in self.blocks.items() if m != 0})
-        k = lead @ rest  # nilpotent
-        acc = DMatrix.identity(self.n, self.size)
-        term = DMatrix.identity(self.n, self.size)
-        for _ in range(self.n):
-            term = (term @ k) * -1.0
-            if not term.blocks:
-                break
-            acc = acc + term
-        return acc @ lead
+        return DMatrix(self.n, self.size, blocks)
 
     # -- comparisons ----------------------------------------------------
 

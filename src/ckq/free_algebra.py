@@ -29,7 +29,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pimenov import PimenovElement, Scalar, _popcount, worst_residual
+from .pimenov import PimenovElement, Scalar, worst_residual
 
 PIVOT_THRESHOLD = 1e-8
 CLOSURE_DEGREE = 3
@@ -63,7 +63,7 @@ def term_order_key(mask: int, word: Word) -> tuple:
     part is translation invariant under disjoint tag union, so rule heads
     stay heads when a rule is multiplied by extra tags.
     """
-    return (len(word), word, -_popcount(mask), -mask)
+    return (len(word), word, -mask.bit_count(), -mask)
 
 
 class FreeElement:
@@ -258,7 +258,7 @@ class ReductionSystem:
         for (hm, hw), tail in rules.items():
             self.rules_by_word.setdefault(hw, []).append((hm, tail))
         for lst in self.rules_by_word.values():
-            lst.sort(key=lambda it: (-_popcount(it[0]), it[0]))
+            lst.sort(key=lambda it: (-it[0].bit_count(), it[0]))
         self._head_lengths = sorted({len(w) for w in self.rules_by_word}, reverse=True)
         self._memo: dict[str, dict[TermKey, dict[TermKey, complex]]] = {
             "left": {},
@@ -621,14 +621,11 @@ def confluence_check(sys: ReductionSystem) -> dict:
     }
 
 
-def numeric_rank(sv: np.ndarray) -> int:
-    """Count of singular values above PIVOT_THRESHOLD times the largest."""
-    return int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0]))
-
-
 def relation_rank(relations: Sequence[FreeElement]) -> int:
-    """Numeric rank of a relation list in the (mask, word) basis (see numeric_rank)."""
+    """Numeric rank of a relation list in the (mask, word) basis: the count
+    of singular values above PIVOT_THRESHOLD times the largest."""
     columns = sorted({k for r in relations for k in r.terms})
     if not columns:
         return 0
-    return numeric_rank(np.linalg.svd(coefficient_matrix(relations, columns), compute_uv=False))
+    sv = np.linalg.svd(coefficient_matrix(relations, columns), compute_uv=False)
+    return int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0]))

@@ -48,10 +48,6 @@ class TagCountMismatch(ValueError):
     """Raised when combining elements over different tag counts."""
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _support(masks: Iterable[int]) -> int:
     """The union of the masks: every tag they carry."""
     out = 0
@@ -270,28 +266,35 @@ class PimenovElement:
         return f"PimenovElement({self.n}, {format_element(self)!r})"
 
 
-def _inverse(coeffs: Mapping[int, complex], tags: int) -> dict[int, complex]:
+def _inverse(
+    coeffs: Mapping[int, Any],
+    tags: int,
+    recip: Callable[[Any], Any] = lambda x: 1.0 / x,
+    mul: Callable[[Any, Any], Any] = operator.mul,
+) -> dict[int, Any]:
     """1/x over the tags in `tags`, split on the lowest one, t.
 
     x = A + B*t with A and B free of t gives 1/x = 1/A - (1/A)*B*(1/A)*t,
-    since t^2 = 0; 1/A recurses on the other tags, down to 1/x0.  At n tags
-    that is about 3^n pair products, where a geometric series in the
-    nilpotent part takes up to n whole-element products.
+    since t^2 = 0; 1/A recurses on the other tags, down to recip(x0).  At n
+    tags that is about 3^n pair products, where a geometric series in the
+    nilpotent part takes up to n whole-element products.  `recip` and `mul`
+    act on the values: complex numbers by default, square numpy blocks for
+    `DMatrix.inv` (np.linalg.inv and np.matmul).
     """
     if not tags:
-        return {0: 1.0 / coeffs[0]}
+        return {0: recip(coeffs[0])}
     t = tags & -tags
-    low: dict[int, complex] = {}
-    high: dict[int, complex] = {}
+    low: dict[int, Any] = {}
+    high: dict[int, Any] = {}
     for m, c in coeffs.items():
         if m & t:
             high[m ^ t] = c
         else:
             low[m] = c
-    inv_low = _inverse(low, tags ^ t)
+    inv_low = _inverse(low, tags ^ t, recip, mul)
     if not high:
         return inv_low
-    corr = tag_product(tag_product(inv_low, high), inv_low)
+    corr = tag_product(tag_product(inv_low, high, mul), inv_low, mul)
     return {**inv_low, **{m | t: -c for m, c in corr.items()}}
 
 
@@ -314,7 +317,7 @@ def _block_sums(coeffs: Mapping[int, complex], mask: int) -> list[complex]:
     of the other remaining tags in descending order; the product starts at
     1.0 + 0j, is carried block by block and skips zero blocks.
     """
-    sums = [0j] * (_popcount(mask) + 1)
+    sums = [0j] * (mask.bit_count() + 1)
 
     def walk(rest: int, r: int, prod: complex) -> None:
         low = rest & -rest
@@ -401,7 +404,7 @@ def a_subsets(a: PimenovElement) -> list[int]:
     while s:
         subs.append(s)
         s = (s - 1) & support
-    return sorted(subs, key=_popcount)
+    return sorted(subs, key=lambda m: m.bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +633,7 @@ def format_element(a: PimenovElement) -> str:
         return "0"
     names = [f"i{k + 1}" for k in range(a.n)]
     parts = []
-    for mask in sorted(a.coeffs, key=lambda m: (_popcount(m), m)):
+    for mask in sorted(a.coeffs, key=lambda m: (m.bit_count(), m)):
         c = a.coeffs[mask]
         lit = repr(c) if c.imag else repr(c.real)
         tags = []

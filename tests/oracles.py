@@ -14,16 +14,19 @@ that eliminates and completes over every tag mask instead of factoring out
 the tags no relation carries, the completion in rounds with diamond gaps
 among its residuals (the library row-reduces once), the confluence check
 that compares normal forms under every tag mask, and the exchange
-relations summed one whole element per product, and the contraction's
-rescaling extended as an algebra map from the rescaled generators.  The
+relations summed one whole element per product, the contraction's
+rescaling extended as an algebra map from the rescaled generators, and the
+contraction certified by span equality of the two relation sets' tag
+closures through three SVDs (the library compares the relations term by
+term).  The
 series oracles keep the monomial product that replays every letter push from
 the unit and the linear extension with one ser_mul per term pair.  The Hopf-check oracles keep
 the coproduct check that maps and reduces every relation whole, with the
 tensor reduction that repeats full passes until one rewrites nothing, and
 the deformed-algebra products that take one ser_mul per term pair and per
 contribution.  The D_n oracles keep the product that scans every pair of
-masks and skips the overlapping ones, the inverse as a geometric series in
-the nilpotent part, the functional slices assembled entry by entry, the
+masks and skips the overlapping ones, the inverse of an element and of a
+DMatrix as a geometric series in the nilpotent part, the functional slices assembled entry by entry, the
 L-relation identities that cut a functional window and read a metric entry
 at each use, and the Hopf images of monomials multiplied letter by letter
 from the unit.
@@ -55,9 +58,10 @@ from ckq.free_algebra import (
     completion_residuals,
     iota_closure,
     term_order_key,
+    unused_tags,
 )
 from ckq.dmat import DMatrix
-from ckq.pimenov import AnalyticKernel, PimenovElement, _popcount, a_subsets, worst_residual
+from ckq.pimenov import AnalyticKernel, PimenovElement, a_subsets, worst_residual
 
 # ---------------------------------------------------------------------------
 # D_n product, inverse and slice oracles
@@ -89,6 +93,20 @@ def geometric_inverse(a: PimenovElement) -> PimenovElement:
             break
         acc = acc + term
     return acc * (1.0 / a0)
+
+
+def geometric_dmatrix_inverse(M: DMatrix) -> DMatrix:
+    """1/M = (sum_k (-K)^k) L with L the inverse scalar block and K = L (M - M0), nilpotent."""
+    lead = DMatrix(M.n, M.size, {0: np.linalg.inv(M.scalar_block())})
+    k = lead @ DMatrix(M.n, M.size, {m: b for m, b in M.blocks.items() if m != 0})
+    acc = DMatrix.identity(M.n, M.size)
+    term = DMatrix.identity(M.n, M.size)
+    for _ in range(M.n):
+        term = (term @ k) * -1.0
+        if not term.blocks:
+            break
+        acc = acc + term
+    return acc @ lead
 
 
 def assembled_slice(f, i, j, eps):
@@ -319,7 +337,7 @@ def _partitions(mask: int, r: int) -> Iterable[tuple[int, ...]]:
     while True:
         block = low | s
         remainder = mask ^ block
-        if _popcount(remainder) >= r - 1:
+        if remainder.bit_count() >= r - 1:
             for tail in _partitions(remainder, r - 1):
                 yield (block,) + tail
         if s == 0:
@@ -331,7 +349,7 @@ def partition_sum(coeffs: Mapping[int, complex], mask: int, r: int) -> complex:
     """d(p;r): sum over partitions of `mask` into r blocks of block-coefficient
     products.  d(p;1) is the coefficient of `mask` itself; d(p;p) is the
     product of the singleton coefficients."""
-    p = _popcount(mask)
+    p = mask.bit_count()
     if not (1 <= r <= p):
         raise ValueError(f"block count {r} out of range 1..{p}")
     total = 0j
@@ -353,7 +371,7 @@ def reference_pim_apply(f: AnalyticKernel, a: PimenovElement) -> PimenovElement:
     out: dict[int, complex] = {0: f.deriv(0, a0)}
     derivs: dict[int, complex] = {}
     for mask in a_subsets(a):
-        p = _popcount(mask)
+        p = mask.bit_count()
         total = 0j
         for r in range(1, p + 1):
             if r not in derivs:
@@ -557,6 +575,57 @@ def reference_substitute_generators(sig, relations):
     }
     unit = FreeElement.const(n, frt.NGEN, 1.0)
     return [algebra_map(r, images, unit) for r in relations]
+
+
+def reference_contraction_transform(sig, v):
+    """The contraction transform certified by span equality over C.
+
+    Both relation sets are closed under the tags they carry and put on one
+    (mask, word) column set as matrices A and B.  The check passes when
+    rank(A) = rank(B) = rank([A; B]), each the count of singular values
+    above PIVOT_THRESHOLD times the largest, and the residual
+    max(|B - B P_A|, |A - A P_B|) is at most 1e-9, P_X the orthogonal
+    projector onto the row space of X.  Over the tags neither set carries,
+    A and B are block diagonal with `tag_copies` equal blocks, so the
+    reported ranks are the block ranks times `tag_copies`.  `gap` is
+    sigma_r / sigma_{r+1} of [A; B].
+    """
+    n = sig.n_slots
+    direct_rel = frt.full_relations(sig, v)
+    substituted_rel = frt.substitute_generators(sig, frt.full_relations(sig, v, attachments=False))
+    unused = unused_tags([*direct_rel, *substituted_rel], n)
+    copies = 1 << unused.bit_count()
+    direct = iota_closure(direct_rel, n, unused)
+    substituted = iota_closure(substituted_rel, n, unused)
+    columns = sorted({k for r in direct + substituted for k in r.terms})
+    A = coefficient_matrix(direct, columns)
+    B = coefficient_matrix(substituted, columns)
+    _, sv_a, basis_a = np.linalg.svd(A, full_matrices=False)
+    _, sv_b, basis_b = np.linalg.svd(B, full_matrices=False)
+    sv_ab = np.linalg.svd(np.vstack([A, B]), compute_uv=False)
+    rank_a, rank_b, rank_ab = (int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0])) for sv in (sv_a, sv_b, sv_ab))
+
+    def off_span(X, basis):
+        # max |X - X P| with P = basis^H basis, basis orthonormal rows
+        return float(np.abs(X - (X @ basis.conj().T) @ basis).max())
+
+    substituted_in_direct = off_span(B, basis_a[:rank_a])
+    direct_in_substituted = off_span(A, basis_b[:rank_b])
+    worst = worst_residual((substituted_in_direct, direct_in_substituted))
+    gap = math.inf
+    if rank_ab < sv_ab.size and sv_ab[rank_ab] > 0:
+        gap = float(sv_ab[rank_ab - 1] / sv_ab[rank_ab])
+    return {
+        "residual": worst,
+        "direct_in_substituted": direct_in_substituted,
+        "substituted_in_direct": substituted_in_direct,
+        "rank_direct": rank_a * copies,
+        "rank_substituted": rank_b * copies,
+        "rank_union": rank_ab * copies,
+        "tag_copies": copies,
+        "gap": gap,
+        "pass": rank_a == rank_b == rank_ab and worst <= 1e-9,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,14 @@ def test_frt_verify_computes_only_the_requested_check(runner, monkeypatch):
     assert report["check"] == "frt.contraction" and report["pass"]
 
 
+def test_contraction_line_carries_the_compared_counts(runner):
+    res = runner.invoke(cli, ["frt", "verify", "contraction", "--j", "n,n"])
+    assert res.exit_code == 0, res.output
+    (report,) = [json.loads(ln) for ln in lines_of(res)]
+    assert set(report) == {"check", "signature", "residual", "pass", "relations", "terms", "v"}
+    assert report["relations"] == len(frt.full_relations(ParameterSignature.parse("n,n"), 0.37))
+
+
 @pytest.mark.parametrize("check", ["antipode", "coproduct"])
 def test_frt_degree_two_checks_need_no_completion(runner, monkeypatch, check):
     def no_completion(sig, v):
@@ -541,8 +549,9 @@ def test_negative_truncation_from_config_is_usage_error(runner, tmp_path):
 
 
 def test_library_verdict_decides(runner, monkeypatch):
-    # a zero residual with failed rank conditions must not pass
-    monkeypatch.setattr(frt, "verify_contraction_transform", lambda sig, v: {"residual": 0.0, "pass": False})
+    # a zero residual with a failed library verdict must not pass
+    monkeypatch.setattr(frt, "verify_contraction_transform",
+                        lambda sig, v: {"residual": 0.0, "relations": 95, "terms": 850, "pass": False})
     res = runner.invoke(cli, ["frt", "verify", "contraction", "--j", "1,1"])
     assert res.exit_code == 1, res.output
     (report,) = [json.loads(ln) for ln in lines_of(res)]

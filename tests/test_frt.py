@@ -23,6 +23,7 @@ from ckq.free_algebra import (
 from ckq.frt import FROZEN_QUOTIENT_RANK
 from ckq.pimenov import ParameterSignature, PimenovElement, worst_residual
 from oracles import (
+    reference_contraction_transform,
     reference_coproduct_compatibility,
     reference_rtt_relations,
     reference_substitute_generators,
@@ -255,13 +256,18 @@ def test_algebra_maps_are_multiplicative_and_tag_linear(data, sig_text, name):
 
 
 def assert_contraction_holds(sig_text, v):
-    rep = frt.verify_contraction_transform(sig_of(sig_text), v)
+    sig = sig_of(sig_text)
+    rep = frt.verify_contraction_transform(sig, v)
     assert rep["pass"], rep
     assert rep["residual"] <= 1e-9
+    assert rep["relations"] == len(frt.full_relations(sig, v))
+    # the span certificate agrees, with the ranks it has always had
+    ref = reference_contraction_transform(sig, v)
+    assert ref["pass"], ref
     want = CONTRACTION_RANK[sig_text]
-    assert (rep["rank_direct"], rep["rank_substituted"], rep["rank_union"]) == (want,) * 3
-    assert rep["tag_copies"] == TAG_COPIES[sig_text]
-    assert rep["gap"] > 1e8  # the numeric rank is far from its threshold
+    assert (ref["rank_direct"], ref["rank_substituted"], ref["rank_union"]) == (want,) * 3
+    assert ref["tag_copies"] == TAG_COPIES[sig_text]
+    assert ref["gap"] > 1e8  # the numeric rank is far from its threshold
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
@@ -272,7 +278,7 @@ def test_contraction_transform(sig_text):
 
 @given(
     sig_text=st.sampled_from(QUANTUM_SIGS),
-    r=st.floats(0.0, 0.9),
+    r=st.one_of(st.floats(0.0, 5.0), st.floats(-9.0, -2.0).map(lambda e: 10.0**e)),
     phase=st.floats(0.0, 2 * cmath.pi),
 )
 @settings(max_examples=8, deadline=None)
@@ -280,10 +286,29 @@ def test_contraction_transform_on_v_disc(sig_text, r, phase):
     assert_contraction_holds(sig_text, cmath.rect(r, phase))
 
 
+@pytest.mark.parametrize("v", [30.0, -30.0])
+def test_contraction_transform_at_large_v(v):
+    # entries reach e^30 here; the two relation lists are still equal term by
+    # term, where the span certificate's absolute gates fail
+    rep = frt.verify_contraction_transform(sig_of("1,1"), v)
+    assert rep["pass"] and rep["residual"] == 0.0
+    assert rep["relations"] == len(frt.full_relations(sig_of("1,1"), v))
+
+
+def test_contraction_compares_an_unmatched_relation_with_zero(monkeypatch):
+    sig = sig_of("1,n")
+    direct = frt.full_relations(sig, 0.37)
+    substitute = frt.substitute_generators
+    monkeypatch.setattr(frt, "substitute_generators", lambda sig, rs: substitute(sig, rs)[:-1])
+    rep = frt.verify_contraction_transform(sig, 0.37)
+    assert rep["relations"] == len(direct)
+    assert rep["residual"] == direct[-1].max_abs() and not rep["pass"]
+
+
 @pytest.mark.parametrize("sig_text", ["1,1", "1,n"])
 def test_contraction_ranks_equal_full_closure_ranks(sig_text):
-    # the certificate works on the tags the relations use; over all tag masks
-    # the closures give the same ranks and the same span residual
+    # the span certificate works on the tags the relations use; over all tag
+    # masks the closures give the same ranks and the same span residual
     sig, v = sig_of(sig_text), 0.37
     direct = iota_closure(frt.full_relations(sig, v), sig.n_slots)
     substituted = iota_closure(
@@ -298,9 +323,9 @@ def test_contraction_ranks_equal_full_closure_ranks(sig_text):
         ranks.append(int(np.count_nonzero(sv > PIVOT_THRESHOLD * sv[0])))
     basis = np.linalg.svd(A, full_matrices=False)[2][: ranks[0]]
     off_span = np.abs(B - (B @ basis.conj().T) @ basis).max()
-    rep = frt.verify_contraction_transform(sig, v)
-    assert ranks == [rep["rank_direct"], rep["rank_substituted"], rep["rank_union"]]
-    assert off_span <= 1e-9 and rep["residual"] <= 1e-9
+    ref = reference_contraction_transform(sig, v)
+    assert ranks == [ref["rank_direct"], ref["rank_substituted"], ref["rank_union"]]
+    assert off_span <= 1e-9 and ref["residual"] <= 1e-9
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
@@ -327,6 +352,17 @@ def test_contraction_detects_wrong_exponent(sig_text, monkeypatch):
     rep = frt.verify_contraction_transform(sig_of(sig_text), 0.37)
     assert not rep["pass"]
     assert rep["residual"] > 0.1
+
+
+@pytest.mark.parametrize("g", range(frt.NGEN))
+def test_contraction_verdict_equals_the_span_certificate_on_a_wrong_exponent(g, monkeypatch):
+    # the j1 exponent of generator g flipped, at n,n where both slots are nilpotent
+    e1, e2 = frt._SUBST_EXPONENTS[g]
+    monkeypatch.setitem(frt._SUBST_EXPONENTS, g, (1 - e1, e2))
+    sig = sig_of("n,n")
+    rep = frt.verify_contraction_transform(sig, 0.37)
+    assert rep["pass"] == reference_contraction_transform(sig, 0.37)["pass"]
+    assert not rep["pass"] and rep["residual"] >= 1.0
 
 
 @pytest.mark.parametrize("wrong_exponent", [False, True])

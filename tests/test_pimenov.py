@@ -26,6 +26,7 @@ from ckq.pimenov import (
 )
 
 from oracles import (
+    geometric_dmatrix_inverse,
     geometric_inverse,
     grassmann_product,
     lift_fd,
@@ -225,6 +226,26 @@ def test_dmatrix_products_equal_entrywise_element_sums(data, n, size, overlap):
             assert_close(kron.entry(i * size + k, j * size + l), A.entry(i, j) * B.entry(k, l))
     if tag:
         assert matmul.blocks == kron.blocks == (A * PimenovElement.tag(n, 1)).blocks == {}
+
+
+@given(data=st.data(), size=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_dmatrix_inverse_equals_the_geometric_series(data, size):
+    n = 3
+    M = data.draw(sparse_dmatrices(n, size, 0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # a unitary scalar block: invertible and well conditioned
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    M = DMatrix(n, size, {**M.blocks, 0: q})
+    got, want = M.inv(), geometric_dmatrix_inverse(M)
+    scale = max(1.0, want.max_abs())
+    assert (got - want).max_abs() <= 1e-12 * scale
+    assert (M @ got - DMatrix.identity(n, size)).max_abs() <= 1e-12 * scale * M.max_abs()
+    singular = DMatrix(n, size, {**M.blocks, 0: q @ np.diag([0.0] + [1.0] * (size - 1))})
+    nilpotent = DMatrix(n, size, {m: b for m, b in M.blocks.items() if m})
+    for X in (singular, nilpotent):
+        with pytest.raises(NotInvertible):
+            X.inv()
 
 
 # -- Grassmann embedding ----------------------------------------------------
