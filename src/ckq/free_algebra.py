@@ -13,12 +13,12 @@ Quadratic relation sets are turned into rewrite rules by viewing their
 tag-closure as a plain complex linear space in the (mask, word) basis and
 row-reducing it: every pivot becomes a rule head, the rest of its row the
 tail (`quadratic_reduction`).  `build_reduction` adds degree-3 rules in
-one row reduction of the cubic part of the ideal, and the diamond check
-over all tagged degree-3 words (`confluence_check`) certifies that normal
-forms are unique up to degree 3, not beyond.  Tags that no relation
-carries are factored out: the ideal over them is an exact tensor copy of
-the ideal over the other tags, so the pipeline runs on the other tags and
-ORs the free ones back in.
+one row reduction of the quadratic rules' overlap ambiguities, and the
+diamond check over all tagged degree-3 words (`confluence_check`)
+certifies that normal forms are unique up to degree 3, not beyond.  Tags
+that no relation carries are factored out: the ideal over them is an exact
+tensor copy of the ideal over the other tags, so the pipeline runs on the
+other tags and ORs the free ones back in.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .pimenov import PimenovElement, Scalar, worst_residual
 
 PIVOT_THRESHOLD = 1e-8
+NOISE_LEVEL = 1e-12  # rounding noise, relative (see _rref_rules, completion_residuals)
 CLOSURE_DEGREE = 3
 
 Word = tuple[int, ...]
@@ -395,10 +396,11 @@ def _rref_rules(
 
     Gauss-Jordan over the columns in descending term order.  A column gets
     a pivot only if its largest remaining entry exceeds pivot_threshold
-    times the largest entry of that entry's row; rows whose largest entry is
-    at most 1e-12 of the matrix maximum are cancellation noise and are
-    zeroed.  Row scales are kept per row and refreshed only for the rows a
-    step changes.  A given `stats` dict receives the smallest accepted and
+    times the largest entry of that entry's row.  Rows whose largest entry
+    is at most NOISE_LEVEL of the matrix maximum are cancellation noise: input
+    rows are removed before elimination, rows elimination leaves are zeroed.
+    Row scales are kept per row and refreshed only for the rows a step
+    changes.  A given `stats` dict receives the smallest accepted and
     the largest rejected pivot ratio (entry over row scale).
     """
     elements = [e for e in elements if e.terms]
@@ -410,11 +412,12 @@ def _rref_rules(
         reverse=True,
     )
     A = coefficient_matrix(elements, columns)
-    noise = 1e-12 * np.abs(A).max()
-    scales = np.empty(len(A))
+    scales = np.abs(A).max(axis=1)
+    noise = NOISE_LEVEL * scales.max()
+    live = ~(scales <= noise)  # a nan row stays and fails visibly
+    A, scales = A[live], scales[live]
 
     def rescale(rows: np.ndarray) -> None:
-        # rows that are pure cancellation noise are structurally zero
         s = np.abs(A[rows]).max(axis=1)
         dead = (s > 0) & (s <= noise)
         if dead.any():
@@ -422,7 +425,6 @@ def _rref_rules(
             s[dead] = 0
         scales[rows] = s
 
-    rescale(np.arange(len(A)))
     accepted, rejected = math.inf, 0.0
     pivot_cols: list[int] = []
     row = 0
@@ -460,45 +462,42 @@ def _rref_rules(
         head = columns[col]
         if len(head[1]) == 0:
             raise InconsistentIdeal("a bare constant survived row reduction")
-        row_vec = A[r_i]
-        row_max = np.abs(row_vec).max()
-        tail_terms: dict[TermKey, complex] = {}
-        for k_i in np.nonzero(row_vec)[0]:
-            if k_i == col:
-                continue
-            c = row_vec[k_i]
-            if abs(c) <= pivot_threshold * row_max:
-                continue
-            tail_terms[columns[k_i]] = -c
-        rules[head] = FreeElement(n, G, tail_terms)
+        # entries at most pivot_threshold of the row's largest are dropped
+        row_vec = np.abs(A[r_i])
+        kept = np.flatnonzero(~(row_vec <= pivot_threshold * row_vec.max()))
+        rules[head] = FreeElement(n, G, {columns[k]: -A[r_i, k] for k in kept if k != col})
     return rules
 
 
-def completion_residuals(
-    sys: ReductionSystem, quadratic: Sequence[FreeElement], keep: float
-) -> list[FreeElement]:
+def completion_residuals(sys: ReductionSystem) -> list[FreeElement]:
     """Cubic ideal elements that the quadratic rules leave unresolved.
 
-    These are the products g*r and r*g over the generators g and the
-    quadratic rules r (head - tail), reduced term by term as they are
-    formed; residuals no larger than keep are dropped.  The quadratic rules
-    span the same complex space as the tag closure of the relations, so
-    their products span the same cubic part of the ideal.
+    These are the overlap ambiguities (Bergman 1978), reduced term by term as
+    they are formed: the products g*r, r = head - tail a rule without free
+    tags and of head (hm, ab), where some rule rewrites (g, a) under a mask
+    inside hm.  Every other g*r and every r*g is 0 in exact arithmetic, as
+    left-first rewriting of its head applies r first.  A product no larger
+    than NOISE_LEVEL times the largest term summed into it is rounding noise.
     """
-    n, G = sys.n, sys.G
+    n, G, unused = sys.n, sys.G, sys.unused
     out: list[FreeElement] = []
-    one = 1.0 + 0j  # the generator's coefficient, multiplied in on its side
-    for r in quadratic:
+    for (hm, hw), tail in sys.rules.items():
+        if hm & unused:
+            continue
+        r = FreeElement(n, G, {(hm, hw): 1.0}) - tail
         for g in range(G):
-            for left in (True, False):
-                acc: dict[TermKey, complex] = {}
-                for (mask, word), c in r.terms.items():
-                    gc, gword = (one * c, (g, *word)) if left else (c * one, (*word, g))
-                    for k, c2 in sys._nf(mask, gword, "left").items():
-                        acc[k] = acc.get(k, 0j) + gc * c2
-                red = FreeElement(n, G, acc)
-                if red.max_abs() > keep:
-                    out.append(red)
+            if not any(m & hm == m for m, _ in sys.rules_by_word.get((g, hw[0]), ())):
+                continue
+            acc: dict[TermKey, complex] = {}
+            scale = 0.0  # the largest term summed in sets the rounding level
+            for (mask, word), c in r.terms.items():
+                for k, c2 in sys._nf(mask, (g, *word), "left").items():
+                    p = c * c2
+                    acc[k] = acc.get(k, 0j) + p
+                    scale = max(scale, abs(p))
+            red = FreeElement(n, G, acc)
+            if not red.max_abs() <= NOISE_LEVEL * scale:  # a nan row stays
+                out.append(red)
     return out
 
 
@@ -529,9 +528,8 @@ def quadratic_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionS
     whenever it adds no rule of degree <= 2.  Tags that no relation carries
     are free: the elimination runs on the other tags, and the rules are
     lifted to every free-tag subset.  `stats` describes the full system over
-    all n tags: closure rows, quadratic rules, free tags (1-based), copies,
-    the pivot ratios closest to PIVOT_THRESHOLD on either side, and `keep`,
-    the completion's cut-off for residual entries.
+    all n tags: closure rows, quadratic rules, free tags (1-based), copies
+    and the pivot ratios closest to PIVOT_THRESHOLD on either side.
     """
     unused = unused_tags(rs, n)
     copies = 1 << unused.bit_count()
@@ -544,7 +542,6 @@ def quadratic_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionS
         "free_tags": [k + 1 for k in range(n) if unused >> k & 1],
         "tag_copies": copies,
         "pivot_threshold": PIVOT_THRESHOLD,
-        "keep": 1e-10 * max([1.0, *(r.max_abs() for r in closure)]),
     }
     rules = _lift_rules(_rref_rules(closure, n, G, stats=stats), unused)
     stats["quadratic_rules"] = len(rules)
@@ -556,22 +553,22 @@ def quadratic_reduction(rs: Sequence[FreeElement], n: int, G: int) -> ReductionS
 def build_reduction(quadratic: ReductionSystem) -> ReductionSystem:
     """Complete a quadratic system (see quadratic_reduction) at degree 3.
 
-    The cubic ideal elements (see completion_residuals) are row-reduced
-    once, and their pivots become degree-3 rules, lifted to every free-tag
-    subset.  One step is enough: every term of a residual is irreducible, so
-    in exact arithmetic every nonzero element of the degree-3 ideal whose
-    terms are all irreducible has a new pivot as its leading term.  That
-    makes the step complete whenever every quadratic head has degree 2 and
-    every new head degree 3; other inputs raise InconsistentIdeal.  The
-    completion reduces with a new system and leaves `quadratic` as it was.
-    Its `stats` extend those of `quadratic` with the residual rows and the
-    cubic rules, both counted over all n tags.
+    The overlap ambiguities of the quadratic rules (see
+    completion_residuals) are row-reduced once, and their pivots become
+    degree-3 rules, lifted to every free-tag subset.  One step is enough:
+    every term of a residual is irreducible, so in exact arithmetic every
+    nonzero element of the degree-3 ideal whose terms are all irreducible has
+    a new pivot as its leading term.  That makes the step complete whenever
+    every quadratic head has degree 2 and every new head degree 3; other
+    inputs raise InconsistentIdeal.  The completion reduces with a new system
+    and leaves `quadratic` as it was.  Its `stats` extend those of
+    `quadratic` with the residual rows (the ambiguities that are not rounding
+    noise) and the cubic rules, both counted over all n tags.
     """
     n, G, unused = quadratic.n, quadratic.G, quadratic.unused
     stats, rules = dict(quadratic.stats), quadratic.rules
     _require_head_degree(rules, 2, "quadratic")
-    compact = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items() if not h[0] & unused]
-    residuals = completion_residuals(ReductionSystem(n, G, rules, unused), compact, stats["keep"])
+    residuals = completion_residuals(ReductionSystem(n, G, rules, unused))
     cubic = _lift_rules(_rref_rules(residuals, n, G, stats=stats), unused)
     _require_head_degree(cubic, 3, "completed")
     stats["residual_rows"] = len(residuals) * stats["tag_copies"]

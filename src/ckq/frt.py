@@ -43,7 +43,8 @@ NGEN = 9
 GEN_NAMES = ("t11", "tt11", "t12", "tt12", "t13", "tt13", "t21", "tt21", "t22")
 GEN_INDEX = {name: g for g, name in enumerate(GEN_NAMES)}
 # rank of the exchange-relation space per signature, frozen from the rank
-# oracle; it does not depend on v as long as v != 0 (R = I at v = 0)
+# oracle.  Measured to hold for 1e-7 <= |v| <= 5 (16 phases); round-off
+# lowers it below (36/30/30/25 at 1e-9), and at 1,1 it is 40 at v = 10, 30.
 FROZEN_QUOTIENT_RANK = {"1,1": 46, "1,n": 44, "n,1": 44, "n,n": 29}
 # rules of the quotient per signature: the quadratic rules (`quadratic_system`,
 # one per rank of the relations' tag closure) and the rules completed at

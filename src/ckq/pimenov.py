@@ -615,6 +615,8 @@ class _Parser:
             inner = self.factor()
             return inner if tok == "+" else -inner
         tok = self.next()
+        if tok in ("*", "/", ")"):
+            raise ValueError(f"expected a number, a tag or '(' at {tok!r}")
         if tok.startswith("i") and len(tok) == 2 and tok[1].isdigit():
             k = int(tok[1])
             if k > self.n:

@@ -9,7 +9,9 @@ partition sum keeps the lifting that walks every set partition of a tag
 set into r blocks, once per block count r, zero blocks included.  The quotient
 oracles keep the plain Gauss-Jordan elimination, which rescans every
 remaining row at every column, the completion residuals generated from
-the whole tag closure instead of from the quadratic rules, the build
+the whole tag closure instead of from the quadratic rules, every product
+g*r and r*g of a quadratic rule cut at an absolute keep level (the library
+forms only the overlap ambiguities), the build
 that eliminates and completes over every tag mask instead of factoring out
 the tags no relation carries, the completion in rounds with diamond gaps
 among its residuals (the library row-reduces once), the confluence check
@@ -55,7 +57,6 @@ from ckq.free_algebra import (
     _rref_rules,
     algebra_map,
     coefficient_matrix,
-    completion_residuals,
     iota_closure,
     term_order_key,
     unused_tags,
@@ -453,17 +454,45 @@ def closure_residuals(system, closure, keep):
     return out
 
 
+def closure_keep(closure):
+    """The cut-off of the product residuals: 1e-10 times the largest
+    coefficient of the tag closure, and at least 1e-10."""
+    return 1e-10 * max([1.0, *(r.max_abs() for r in closure)])
+
+
+def product_residuals(sys, quadratic, keep):
+    """The products g*r and r*g over every generator g and every quadratic
+    rule r (head - tail), reduced term by term as they are formed; residuals
+    no larger than keep are dropped.  The library forms only the overlap
+    ambiguities, the products g*r that are not 0 in exact arithmetic."""
+    n, G = sys.n, sys.G
+    out = []
+    one = 1.0 + 0j  # the generator's coefficient, multiplied in on its side
+    for r in quadratic:
+        for g in range(G):
+            for left in (True, False):
+                acc = {}
+                for (mask, word), c in r.terms.items():
+                    gc, gword = (one * c, (g, *word)) if left else (c * one, (*word, g))
+                    for k, c2 in sys._nf(mask, gword, "left").items():
+                        acc[k] = acc.get(k, 0j) + gc * c2
+                red = FreeElement(n, G, acc)
+                if red.max_abs() > keep:
+                    out.append(red)
+    return out
+
+
 def reference_build_reduction(rs, n, G, pivot_threshold=PIVOT_THRESHOLD):
     """build_reduction over the full tag closure: one row reduction of the
-    products of every quadratic rule, with the same scope check."""
+    products of every quadratic rule (product_residuals), with the same
+    scope check."""
     closure = iota_closure(rs, n)
     stats = {"closure_rows": len(closure), "pivot_threshold": pivot_threshold}
     rules = _rref_rules(closure, n, G, pivot_threshold, stats)
     stats["quadratic_rules"] = len(rules)
     _require_head_degree(rules, 2, "quadratic")
     quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
-    keep = 1e-10 * max([1.0, *(r.max_abs() for r in closure)])
-    residuals = completion_residuals(ReductionSystem(n, G, rules), quadratic, keep)
+    residuals = product_residuals(ReductionSystem(n, G, rules), quadratic, closure_keep(closure))
     cubic = _rref_rules(residuals, n, G, pivot_threshold, stats)
     _require_head_degree(cubic, 3, "completed")
     stats["residual_rows"] = len(residuals)
@@ -487,10 +516,11 @@ def diamond_gaps(system):
     return gaps
 
 
-def multi_round_build_reduction(quadratic):
+def multi_round_build_reduction(quadratic, keep):
     """build_reduction in rounds: each round row-reduces the products g*r and
-    r*g and the diamond gaps of the current system, and rounds repeat until
-    one adds no rule, at most ten times."""
+    r*g (product_residuals) and the diamond gaps of the current system, both
+    cut at keep (see closure_keep), and rounds repeat until one adds no rule,
+    at most ten times."""
     n, G, unused = quadratic.n, quadratic.G, quadratic.unused
     stats = dict(quadratic.stats)
     rules = dict(quadratic.rules)
@@ -499,8 +529,8 @@ def multi_round_build_reduction(quadratic):
     if rules:
         compact = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items() if not h[0] & unused]
         for _ in range(10):
-            residuals = completion_residuals(system, compact, stats["keep"])
-            residuals += [d for d in diamond_gaps(system) if d.max_abs() > stats["keep"]]
+            residuals = product_residuals(system, compact, keep)
+            residuals += [d for d in diamond_gaps(system) if d.max_abs() > keep]
             added = {}
             if residuals:
                 new = _rref_rules(residuals, n, G, stats=stats)

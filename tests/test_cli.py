@@ -48,6 +48,15 @@ def test_pim_eval_truncated_expression_is_usage_error(runner, expr):
     assert "unexpected end of expression" in res.output
 
 
+@pytest.mark.parametrize("expr, token", [("2**3", "*"), ("1+)", ")"), ("(/1)", "/"), ("1+*2", "*")])
+def test_pim_eval_names_the_misplaced_operator(runner, expr, token):
+    # an operator or ')' where a factor must start is named, not handed to complex()
+    res = runner.invoke(cli, ["pim", "eval", "--", expr])
+    assert res.exit_code == 2
+    assert f"expected a number, a tag or '(' at '{token}'" in res.output
+    assert "complex()" not in res.output
+
+
 @pytest.mark.parametrize("expr", ["1e999", "1e308*10", "1e999*i1"])
 def test_pim_eval_non_finite_value_is_usage_error(runner, expr):
     res = runner.invoke(cli, ["pim", "eval", expr])

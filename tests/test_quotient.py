@@ -28,8 +28,10 @@ from ckq.free_algebra import (
 )
 from ckq.pimenov import ParameterSignature
 from oracles import (
+    closure_keep,
     closure_residuals,
     multi_round_build_reduction,
+    product_residuals,
     reference_build_reduction,
     reference_confluence_check,
     reference_rref_rules,
@@ -63,13 +65,12 @@ def assert_same_rules(got, want, tol=1e-12, relative=False):
 
 
 def quadratic_stage(sig_text, v):
-    """Tag closure, quadratic rules, their system and the completion keep level."""
+    """Tag closure, quadratic rules, their system and the oracles' keep level."""
     sig = ParameterSignature.parse(sig_text)
     n = sig.n_slots
     closure = iota_closure(frt.full_relations(sig, v), n)
     rules = _rref_rules(closure, n, G)
-    keep = 1e-10 * max(1.0, max(r.max_abs() for r in closure))
-    return closure, rules, ReductionSystem(n, G, dict(rules)), keep
+    return closure, rules, ReductionSystem(n, G, dict(rules)), closure_keep(closure)
 
 
 def as_elements(rules, n):
@@ -79,10 +80,10 @@ def as_elements(rules, n):
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
 def test_rref_matches_reference_gauss_jordan(sig_text):
     for v in V_SAMPLES:
-        closure, rules, system, keep = quadratic_stage(sig_text, v)
+        closure, rules, system, _ = quadratic_stage(sig_text, v)
         n = system.n
         assert_same_rules(rules, reference_rref_rules(closure, n, G))
-        residuals = completion_residuals(system, as_elements(rules, n), keep)
+        residuals = completion_residuals(system)
         assert_same_rules(_rref_rules(residuals, n, G), reference_rref_rules(residuals, n, G))
 
 
@@ -90,7 +91,7 @@ def test_rref_matches_reference_gauss_jordan(sig_text):
 def test_rule_residuals_give_closure_residual_heads(sig_text):
     closure, rules, system, keep = quadratic_stage(sig_text, 0.37)
     n = system.n
-    from_rules = _rref_rules(completion_residuals(system, as_elements(rules, n), keep), n, G)
+    from_rules = _rref_rules(completion_residuals(system), n, G)
     from_closure = _rref_rules(closure_residuals(system, closure, keep), n, G)
     assert list(from_rules) == list(from_closure)
     assert_same_rules(from_rules, from_closure, tol=1e-9)
@@ -98,13 +99,67 @@ def test_rule_residuals_give_closure_residual_heads(sig_text):
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
 def test_rule_residuals_equal_reduced_whole_products(sig_text):
-    # the products g*r and r*g, reduced term by term as they are formed, equal
-    # the whole products reduced afterwards
-    _, rules, system, keep = quadratic_stage(sig_text, 0.37)
-    quadratic = as_elements(rules, system.n)
-    got = completion_residuals(system, quadratic, keep)
-    want = closure_residuals(system, quadratic, keep)
-    assert [list(r.terms.items()) for r in got] == [list(r.terms.items()) for r in want]
+    # every row of the completion is the oracle's product g*r for the same
+    # rule r and generator g, term list for term list, in the same order;
+    # every product it skips, g*r or r*g, reduces to rounding noise
+    for v in V_SAMPLES:
+        _, rules, system, _ = quadratic_stage(sig_text, v)
+        got = completion_residuals(system)
+        i = 0
+        for r in as_elements(rules, system.n):
+            bound = 1e-14 * max(1.0, r.max_abs())
+            # g*r then r*g for each g, none dropped
+            for product in product_residuals(system, [r], -1.0):
+                if i < len(got) and list(got[i].terms.items()) == list(product.terms.items()):
+                    i += 1
+                else:
+                    assert product.max_abs() <= bound
+        assert i == len(got)
+
+
+def overlaps(system, head, g):
+    """Whether some rule rewrites the first two letters of g * head under a
+    mask inside the head's."""
+    hm, (a, _) = head
+    return any(w == (g, a) and m & hm == m for m, w in system.rules)
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_completion_forms_exactly_the_overlap_products(sig_text):
+    # the head of each product g*r the completion reduces is an overlap
+    # ambiguity, and every overlap ambiguity is reduced
+    _, rules, system, _ = quadratic_stage(sig_text, 0.37)
+    reduced = []
+    nf = system._nf
+    system._nf = lambda mask, word, strategy: reduced.append((mask, word)) or nf(mask, word, strategy)
+    completion_residuals(system)
+    formed = [(m, w) for m, w in reduced if (m, w[1:]) in rules]
+    want = [(hm, (g, *hw)) for hm, hw in rules for g in range(G) if overlaps(system, (hm, hw), g)]
+    assert formed == want
+    assert 0 < len(want) < G * len(rules)
+
+
+@given(
+    q=st.lists(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        min_size=3,
+        max_size=3,
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_completion_adds_no_rule_where_every_ambiguity_resolves(q):
+    # the quantum 3-space y*x = q1 x*y, z*x = q2 x*z, z*y = q3 y*z: its one
+    # ambiguity, z*y*x, resolves in exact arithmetic, and in floats its
+    # rounding noise is the only row, so no other row can tell it from a
+    # residual; it must not become a rule such as x*y*z -> 0
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    rels = [FreeElement(0, 3, {(0, (b, a)): 1.0, (0, (a, b)): -qk}) for (a, b), qk in zip(pairs, q)]
+    system = complete(rels, 0, 3)
+    assert system.stats["residual_rows"] == system.stats["cubic_rules"] == 0
+    assert len(system) == 3
+    # the gap of z*y*x is rounding relative to q1*q2*q3; confluence_check's
+    # absolute 1e-9 gate fails near |q| = 1e3
+    assert confluence_check(system)["max_discrepancy"] <= 1e-14 * max(1.0, abs(q[0] * q[1] * q[2]))
 
 
 # words of length 1 and 2 under every tag mask of D_2 over 3 generators
@@ -236,7 +291,8 @@ def assert_one_step_matches_rounds(sig_text, v):
     # diamond gaps, which moves the last bits of the tails at 1,1 only.
     sig = ParameterSignature.parse(sig_text)
     got = frt.reduction_system(sig, v)
-    want = multi_round_build_reduction(frt.quadratic_system(sig, v))
+    keep = closure_keep(iota_closure(frt.full_relations(sig, v), sig.n_slots))
+    want = multi_round_build_reduction(frt.quadratic_system(sig, v), keep)
     assert [rd["added_rules"] for rd in want.stats["rounds"]] == [CUBIC_RULES[sig_text], 0]
     if sig_text == "1,1":
         assert_same_rules(got.rules, want.rules, relative=True)
