@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,6 +92,17 @@ def elementary_rotation(sig: ParameterSignature, mu: int, nu: int, phi: Scalar) 
     return CKMatrix(DMatrix.from_entries(n, entries), sig, CARTESIAN)
 
 
+def _special_entries(A: CKMatrix) -> Iterator[tuple[int, int, PimenovElement, PimenovElement, complex]]:
+    """(k, p, entry, J~_{kp}, a) for every entry, where a is the entry's
+    coefficient on the one monomial of J~ divided by J~'s coefficient there."""
+    for k in range(A.size):
+        for p in range(A.size):
+            el = A.entry(k, p)
+            j = A.sig.jfactor(min(k, p) + 1, max(k, p) + 1)
+            (mask, c), = j.coeffs.items()
+            yield k, p, el, j, el.coeffs.get(mask, 0j) / c
+
+
 def classical_action(A: CKMatrix) -> np.ndarray:
     """The induced matrix on unscaled coordinates.
 
@@ -100,35 +111,16 @@ def classical_action(A: CKMatrix) -> np.ndarray:
     below it; J^2 is always a plain scalar, so the result is an ordinary
     (complex-free for real signatures) numpy matrix.
     """
-    N = A.size
-    out = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        for p in range(N):
-            el = A.entry(k, p)
-            lo, hi = (k, p) if k < p else (p, k)
-            j = A.sig.jfactor(lo + 1, hi + 1)
-            (mask, c), = j.coeffs.items()
-            a = el.coeffs.get(mask, 0j) / c
-            if k < p:
-                out[k, p] = a * jfactor_square(j)
-            else:
-                out[k, p] = a
+    out = np.zeros((A.size, A.size), dtype=complex)
+    for k, p, _, j, a in _special_entries(A):
+        out[k, p] = a * jfactor_square(j) if k < p else a
     return out
 
 
 def special_shape_residual(A: CKMatrix) -> float:
     """How far the matrix is from the special shape: every entry must be
     the appropriate J~ monomial times a real scalar."""
-    residuals = []
-    for k in range(A.size):
-        for p in range(A.size):
-            el = A.entry(k, p)
-            lo, hi = (k, p) if k < p else (p, k)
-            j = A.sig.jfactor(lo + 1, hi + 1)
-            (mask, c), = j.coeffs.items()
-            a = el.coeffs.get(mask, 0j) / c
-            residuals.append((el - j * a.real).max_abs())
-    return worst_residual(residuals)
+    return worst_residual((el - j * a.real).max_abs() for _, _, el, j, a in _special_entries(A))
 
 
 def verify_j_orthogonality(A: CKMatrix) -> float:

@@ -21,11 +21,13 @@ import numpy as np
 from .dmat import DMatrix
 from .frt import GEN_NAMES, N, cmatrix, flip_matrix, generator_matrix, mono_eval, rmatrix3
 from .pimenov import (
+    AnalyticKernel,
     ParameterSignature,
     PimenovElement,
     cosh_j,
     even_j,
     jfactor_square,
+    nilpotent_taylor,
     sinhc_j,
     tanhc_j,
     worst_residual,
@@ -383,28 +385,17 @@ def ser_mul(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     return np.convolve(a, b)[: d + 1]
 
 
-def ser_div(num: np.ndarray, den: np.ndarray, d: int) -> np.ndarray:
-    if den[0] == 0:
-        raise ZeroDivisionError("series division needs an invertible lead")
-    q = np.zeros(d + 1, dtype=complex)
-    num = np.pad(num.astype(complex), (0, max(0, d + 1 - len(num))))
-    den = np.pad(den.astype(complex), (0, max(0, d + 1 - len(den))))
-    for k in range(d + 1):
-        acc = num[k] - sum(q[j] * den[k - j] for j in range(k))
-        q[k] = acc / den[0]
-    return q
+# 1/x and sqrt(x) by their derivatives, for w-series only: not in pimenov.KERNELS
+_RECIP = AnalyticKernel("1/x", lambda r, a0: (-1) ** r * math.factorial(r) / a0 ** (r + 1))
+_SQRT = AnalyticKernel("sqrt", lambda r, a0: math.prod(0.5 - k for k in range(r)) * cmath.sqrt(a0) / a0**r)
 
 
-def ser_sqrt(a: np.ndarray, d: int) -> np.ndarray:
-    if a[0] == 0:
-        raise ValueError("series square root needs an invertible lead")
-    s = np.zeros(d + 1, dtype=complex)
-    a = np.pad(a.astype(complex), (0, max(0, d + 1 - len(a))))
-    s[0] = cmath.sqrt(a[0])
-    for k in range(1, d + 1):
-        acc = a[k] - sum(s[j] * s[k - j] for j in range(1, k))
-        s[k] = acc / (2 * s[0])
-    return s
+def ser_lift(f: AnalyticKernel, a: np.ndarray, d: int) -> np.ndarray:
+    """f of a w-series truncated at order d: its Taylor sum at the lead a[0]."""
+    a = np.pad(a.astype(complex), (0, max(0, d + 1 - len(a))))[: d + 1]
+    one = np.eye(1, d + 1, dtype=complex)[0]
+    nil = {0: a - a[0] * one}
+    return nilpotent_taylor(f.derivs(complex(a[0]), d), nil, {0: one}, lambda x, y: ser_mul(x, y, d))[0]
 
 
 def _batch_ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -959,11 +950,11 @@ def verify_duality_isomorphism(sig: ParameterSignature, dw: int = 8) -> dict:
     C1 = alg.even_series(half=False, odd=False)  # cos(Jw)
     S2 = alg.even_series(half=True, odd=True)  # sin(Jw/2)/(Jw/2)
     C2 = alg.even_series(half=True, odd=False)  # cos(Jw/2)
-    T2 = ser_div(S2, C2, d)  # tan(Jw/2)/(Jw/2)
+    T2 = ser_mul(S2, ser_lift(_RECIP, C2, d), d)  # tan(Jw/2)/(Jw/2)
     w_shift = alg.w_mono(1, 1.0)
 
     # the scale factor of the off-diagonal functionals, J left out
-    e_ser = ser_mul(math.sqrt(2.0) * w_shift, ser_sqrt(S1, d), d)
+    e_ser = ser_mul(math.sqrt(2.0) * w_shift, ser_lift(_SQRT, S1, d), d)
 
     half = alg.exp_x02(-0.5)
     l11 = alg.exp_x02(-1.0)

@@ -14,10 +14,10 @@ are those of the plain pair scan.  Inverses split off one tag at a time
 
 The module also provides
 
-* analytic kernels (exp, log, sin, ...) lifted to D_n through their Taylor
-  data at the scalar part, walking each tag subset once, only through the
-  set partitions with nonzero blocks, in the order of the full enumeration
-  (a skipped one adds an exact 0j to a sum that is never -0.0: same bits),
+* analytic kernels (exp, log, sin, ...) lifted to D_n as the finite Taylor
+  sum f(a0 + N) = sum_r f^(r)(a0) N^r / r! at the scalar part a0, its powers
+  of the nilpotent rest N taken through `tag_product`; `nilpotent_taylor`
+  sums truncated w-series for `dual` too,
 * parameter signatures (the vector of "geometry switches" j_1..j_{N-1},
   each 1, nilpotent, or imaginary) and their running products J_{mu,nu},
 * trigonometry of a single J-factor computed through even functions of J,
@@ -305,37 +305,31 @@ def _coerce(value: "PimenovElement | Scalar", n: int) -> PimenovElement:
 
 
 # ---------------------------------------------------------------------------
-# Partition sums and analytic function lifting
+# Analytic function lifting
 # ---------------------------------------------------------------------------
 
 
-def _block_sums(coeffs: Mapping[int, complex], mask: int) -> list[complex]:
-    """[d(K;0), ..., d(K;p)] for the tag set K = `mask` of size p: d(K;r) sums
-    block-coefficient products over the partitions of K into r blocks.
+def nilpotent_taylor(
+    derivs: Sequence[Any],
+    nil: Mapping[int, Any],
+    one: Mapping[int, Any],
+    mul: Callable[[Any, Any], Any] = operator.mul,
+) -> dict[int, Any]:
+    """The Taylor sum sum_r derivs[r] / r! * nil^r of f(a0 + nil), derivs[r] = f^(r)(a0).
 
-    The block of the lowest remaining tag comes first, drawn from the subsets
-    of the other remaining tags in descending order; the product starts at
-    1.0 + 0j, is carried block by block and skips zero blocks.
+    nil is nilpotent: its powers vanish past the number of tags it carries,
+    or, as a w-series with zero lead (the map {0: series}), past the
+    truncation order.  `one` and `mul` are the unit and product of the values.
     """
-    sums = [0j] * (mask.bit_count() + 1)
-
-    def walk(rest: int, r: int, prod: complex) -> None:
-        low = rest & -rest
-        others = rest ^ low
-        s = others
-        while True:
-            c = coeffs.get(low | s, 0j)
-            if c != 0:
-                if s == others:
-                    sums[r + 1] += prod * c
-                else:
-                    walk(others ^ s, r + 1, prod * c)
-            if s == 0:
-                break
-            s = (s - 1) & others
-
-    walk(mask, 0, 1.0 + 0j)
-    return sums
+    out = {m: derivs[0] * x for m, x in one.items()}
+    power = nil
+    for r in range(1, len(derivs)):
+        if r > 1 and not (power := tag_product(power, nil, mul)):
+            break
+        c = derivs[r] / math.factorial(r)
+        for m, x in power.items():
+            out[m] = out[m] + c * x if m in out else c * x
+    return out
 
 
 @dataclass(frozen=True)
@@ -345,8 +339,12 @@ class AnalyticKernel:
     name: str
     deriv: Callable[[int, complex], complex]
 
-    def __call__(self, a0: complex) -> complex:
-        return self.deriv(0, a0)
+    def derivs(self, a0: complex, order: int) -> list[complex]:
+        """[f(a0), ..., f^(order)(a0)]; a domain or range error names f and a0."""
+        try:
+            return [self.deriv(r, a0) for r in range(order + 1)]
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"{exc} in {self.name} at {a0}") from exc
 
 
 def _cyclic(fns: Sequence[Callable[[complex], complex]]) -> Callable[[int, complex], complex]:
@@ -373,38 +371,14 @@ KERNELS: dict[str, AnalyticKernel] = {
 
 
 def pim_apply(f: AnalyticKernel, a: PimenovElement) -> PimenovElement:
-    """Lift the analytic function f to D_n.
-
-    The coefficient of a tag subset K of size p is
-    sum_{r=1..p} f^(r)(a0) * d(K;r), where d(K;r) runs over unordered
-    partitions of K into r nonempty blocks; the scalar part is f(a0).
-    `_block_sums` walks K once for all r, only through partitions with nonzero
-    blocks, in the full enumeration's order: a skipped one would add an exact
-    0j to a sum that starts at +0.0 and never turns -0.0, so no bit changes.
-    """
-    a0 = a.scalar_part
-    out: dict[int, complex] = {0: f.deriv(0, a0)}
-    derivs: dict[int, complex] = {}
-    for mask in a_subsets(a):
-        sums = _block_sums(a.coeffs, mask)
-        total = 0j
-        for r in range(1, len(sums)):
-            if r not in derivs:
-                derivs[r] = f.deriv(r, a0)
-            total += derivs[r] * sums[r]
-        out[mask] = total  # the constructor drops zero coefficients
-    return PimenovElement(a.n, out)
-
-
-def a_subsets(a: PimenovElement) -> list[int]:
-    """All nonempty tag subsets reachable from the nilpotent support of a."""
-    support = _support(a.coeffs)
-    subs = []
-    s = support
-    while s:
-        subs.append(s)
-        s = (s - 1) & support
-    return sorted(subs, key=lambda m: m.bit_count())
+    """Lift the analytic function f to D_n: its Taylor sum at the scalar part
+    a0 over the nilpotent rest of a, which ends at the number of tags that
+    rest carries."""
+    nil = {m: c for m, c in a.coeffs.items() if m}
+    derivs = f.derivs(a.scalar_part, _support(nil).bit_count())
+    # 0j + c clears the -0.0 parts a lone product can carry
+    out = nilpotent_taylor(derivs, nil, {0: 1.0})
+    return PimenovElement(a.n, {m: 0j + c for m, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

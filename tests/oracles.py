@@ -1,6 +1,6 @@
 """Independent oracles used only by the test suite.
 
-These deliberately avoid the library's partition-sum lifting code: the
+These deliberately avoid the library's Taylor-sum lifting code: the
 Grassmann oracle realizes the nilpotent units inside a brute-force exterior
 algebra, the Taylor oracle lifts analytic kernels through an explicit
 truncated series, and the finite-difference oracle recovers lifted
@@ -62,7 +62,7 @@ from ckq.free_algebra import (
     unused_tags,
 )
 from ckq.dmat import DMatrix
-from ckq.pimenov import AnalyticKernel, PimenovElement, a_subsets, worst_residual
+from ckq.pimenov import AnalyticKernel, PimenovElement, _support, worst_residual
 
 # ---------------------------------------------------------------------------
 # D_n product, inverse and slice oracles
@@ -364,6 +364,17 @@ def partition_sum(coeffs: Mapping[int, complex], mask: int, r: int) -> complex:
             prod *= c
         total += prod
     return total
+
+
+def a_subsets(a: PimenovElement) -> list[int]:
+    """All nonempty tag subsets reachable from the nilpotent support of a."""
+    support = _support(a.coeffs)
+    subs = []
+    s = support
+    while s:
+        subs.append(s)
+        s = (s - 1) & support
+    return sorted(subs, key=lambda m: m.bit_count())
 
 
 def reference_pim_apply(f: AnalyticKernel, a: PimenovElement) -> PimenovElement:

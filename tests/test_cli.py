@@ -64,6 +64,25 @@ def test_pim_eval_non_finite_value_is_usage_error(runner, expr):
     assert "not finite" in res.output
 
 
+def test_pim_eval_offers_only_the_named_kernels(runner):
+    # the series kernels of the dual (1/x, sqrt) stay out of KERNELS
+    res = runner.invoke(cli, ["pim", "eval", "--help"])
+    assert "[cos|cosh|exp|log|sin|sinh]" in res.output
+
+
+@pytest.mark.parametrize("args, error, kernel", [
+    (["pim", "eval", "0", "--apply", "log"], "math domain error", "log"),
+    (["pim", "eval", "i1", "--apply", "log"], "math domain error", "log"),
+    (["pim", "eval", "1000", "--apply", "exp"], "math range error", "exp"),
+    (["verify", "frt", "--j", "1,1", "--v", "1000"], "math range error", "exp"),
+    (["frt", "rmatrix", "--j", "1,1", "--v", "800"], "math range error", "exp"),
+])
+def test_domain_error_names_the_kernel_and_the_point(runner, args, error, kernel):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert f"{error} in {kernel} at " in res.output
+
+
 # -- ck ---------------------------------------------------------------------
 
 

@@ -148,9 +148,9 @@ def test_series_division_and_sqrt():
     a = rng.normal(size=9) + 1.0j * rng.normal(size=9)
     a[0] = 1.5
     d = 8
-    q = dual.ser_div(a, a, d)
+    q = dual.ser_mul(a, dual.ser_lift(dual._RECIP, a, d), d)
     assert np.abs(q - np.eye(1, d + 1)[0]).max() <= 1e-12
-    s = dual.ser_sqrt(a, d)
+    s = dual.ser_lift(dual._SQRT, a, d)
     assert np.abs(dual.ser_mul(s, s, d) - a[: d + 1]).max() <= 1e-12
 
 

@@ -24,6 +24,7 @@ from ckq.free_algebra import (
     confluence_check,
     iota_closure,
     quadratic_reduction,
+    term_order_key,
     unused_tags,
 )
 from ckq.pimenov import ParameterSignature
@@ -366,6 +367,17 @@ def test_factored_normal_forms_equal_plain_ones(sig_text):
     for strategy in ("left", "right"):
         for mask, word in _ALL_TERMS:
             assert factored._nf_term(mask, word, strategy) == plain._nf_term(mask, word, strategy)
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_every_tail_term_lies_below_its_head(sig_text):
+    # rewriting ends (ReductionSystem._nf_term recurses on tail terms) only
+    # because every tail term is smaller than its head
+    sig = ParameterSignature.parse(sig_text)
+    for v in V_SAMPLES + [size * v / abs(v) for size in (0.02, 0.9) for v in V_SAMPLES]:
+        for system in (frt.quadratic_system(sig, v), frt.reduction_system(sig, v)):
+            for head, tail in system.rules.items():
+                assert all(term_order_key(*t) < term_order_key(*head) for t in tail.terms), (v, head)
 
 
 def test_unused_tags_and_compact_closure():
