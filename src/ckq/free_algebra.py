@@ -50,9 +50,9 @@ class InconsistentIdeal(ValueError):
 class NonTerminatingRules(ValueError):
     """Rewriting did not terminate: the rules cycle or lengthen words.
 
-    Row reduction keeps every tail below its head in exact arithmetic.  When
-    relations are nearly dependent (tiny |v|), round-off left in eliminated
-    columns can grow into tail terms above their heads.
+    A built system keeps every tail below its head (see _rref_rules), so
+    this is raised only for hand-built rules and for a tensor reduction
+    whose banks keep trading tags.
     """
 
 
@@ -326,8 +326,8 @@ class ReductionSystem:
             return self._nf_term(mask, word, strategy)
         except RecursionError:
             raise NonTerminatingRules(
-                f"rewriting {(mask, word)} did not terminate: rule tails lie above "
-                "their heads, the relations are too close to dependent at this v"
+                f"rewriting {(mask, word)} did not terminate: a rule tail lies above "
+                "its head, which no system built by row reduction holds"
             ) from None
 
     def reduce(self, x: FreeElement) -> FreeElement:
@@ -386,21 +386,19 @@ def coefficient_matrix(
 
 
 def _rref_rules(
-    elements: Sequence[FreeElement],
-    n: int,
-    G: int,
-    pivot_threshold: float = PIVOT_THRESHOLD,
-    stats: dict | None = None,
+    elements: Sequence[FreeElement], n: int, G: int, stats: dict | None = None
 ) -> dict[TermKey, FreeElement]:
     """Row-reduce a list of elements into head -> tail rewrite rules.
 
-    Gauss-Jordan over the columns in descending term order.  A column gets
-    a pivot only if its largest remaining entry exceeds pivot_threshold
-    times the largest entry of that entry's row.  Rows whose largest entry
-    is at most NOISE_LEVEL of the matrix maximum are cancellation noise: input
-    rows are removed before elimination, rows elimination leaves are zeroed.
-    Row scales are kept per row and refreshed only for the rows a step
-    changes.  A given `stats` dict receives the smallest accepted and
+    Gauss-Jordan over the columns in descending term order, pivoting on the
+    largest remaining entry of each column.  It is a pivot only if it
+    exceeds PIVOT_THRESHOLD times its row's scale: the row's largest entry
+    on entering the elimination, which follows the row through swaps.  The
+    pivot is set to 1 and the rest of its column to 0, as exact elimination
+    gives, so every tail lies below its head.  NOISE_LEVEL decides what is
+    rounding noise: input rows whose largest entry is at most that fraction
+    of the matrix maximum, and tail entries at most that fraction of their
+    row's largest.  A given `stats` dict receives the smallest accepted and
     the largest rejected pivot ratio (entry over row scale).
     """
     elements = [e for e in elements if e.terms]
@@ -413,18 +411,8 @@ def _rref_rules(
     )
     A = coefficient_matrix(elements, columns)
     scales = np.abs(A).max(axis=1)
-    noise = NOISE_LEVEL * scales.max()
-    live = ~(scales <= noise)  # a nan row stays and fails visibly
+    live = ~(scales <= NOISE_LEVEL * scales.max())  # a nan row stays and fails visibly
     A, scales = A[live], scales[live]
-
-    def rescale(rows: np.ndarray) -> None:
-        s = np.abs(A[rows]).max(axis=1)
-        dead = (s > 0) & (s <= noise)
-        if dead.any():
-            A[rows[dead]] = 0
-            s[dead] = 0
-        scales[rows] = s
-
     accepted, rejected = math.inf, 0.0
     pivot_cols: list[int] = []
     row = 0
@@ -434,26 +422,25 @@ def _rref_rules(
         sub = np.abs(A[row:, col])
         best = int(np.argmax(sub))
         row_scale = scales[row + best]
-        ratio = sub[best] / row_scale if row_scale else 0.0
-        if row_scale == 0 or sub[best] <= pivot_threshold * row_scale:
+        ratio = sub[best] / row_scale
+        if sub[best] <= PIVOT_THRESHOLD * row_scale:
             # no pivot: the column is structurally zero below this point,
             # which keeps rule tails strictly below their heads
             rejected = max(rejected, ratio)
-            touched = row + np.flatnonzero(A[row:, col])
-            A[touched, col] = 0
-            rescale(touched)
+            A[row:, col] = 0
             continue
         accepted = min(accepted, ratio)
         best += row
         A[[row, best]] = A[[best, row]]
         scales[[row, best]] = scales[[best, row]]
         A[row] = A[row] / A[row, col]
+        A[row, col] = 1
         touched = np.flatnonzero(np.abs(A[:, col]) > 0)
         touched = touched[touched != row]
         A[touched] -= np.outer(A[touched, col], A[row])
+        A[touched, col] = 0
         pivot_cols.append(col)
         row += 1
-        rescale(touched[touched >= row])
     if stats is not None:
         stats["min_accepted_pivot_ratio"] = min(stats.get("min_accepted_pivot_ratio", math.inf), float(accepted))
         stats["max_rejected_pivot_ratio"] = max(stats.get("max_rejected_pivot_ratio", 0.0), float(rejected))
@@ -462,9 +449,8 @@ def _rref_rules(
         head = columns[col]
         if len(head[1]) == 0:
             raise InconsistentIdeal("a bare constant survived row reduction")
-        # entries at most pivot_threshold of the row's largest are dropped
         row_vec = np.abs(A[r_i])
-        kept = np.flatnonzero(~(row_vec <= pivot_threshold * row_vec.max()))
+        kept = np.flatnonzero(~(row_vec <= NOISE_LEVEL * row_vec.max()))
         rules[head] = FreeElement(n, G, {columns[k]: -A[r_i, k] for k in kept if k != col})
     return rules
 

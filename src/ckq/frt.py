@@ -48,9 +48,10 @@ GEN_INDEX = {name: g for g, name in enumerate(GEN_NAMES)}
 FROZEN_QUOTIENT_RANK = {"1,1": 46, "1,n": 44, "n,1": 44, "n,n": 29}
 # rules of the quotient per signature: the quadratic rules (`quadratic_system`,
 # one per rank of the relations' tag closure) and the rules completed at
-# degree 3 (`reduction_system`).  Measured to hold for 0.02 <= |v| <= 0.9.
-# Outside that range at 1,1, v = 1.1 still gives 280 rules and a confluent
-# system; at v = 0.01, 1.2, -1.5 and 2.5 (288 rules) confluence fails.
+# degree 3 (`reduction_system`).  Gated for 0.02 <= |v| <= 0.9.  Measured
+# beyond it, 1,1 (8 phases) gives 280 rules for 0.001 <= |v| <= 3 and
+# confluence passes for 0.005 <= |v| <= 1.1 (it fails at v = 1.2, -1.5, 2.5);
+# the contracted counts (4 phases) hold for 1e-5 <= |v| <= 5.
 FROZEN_QUADRATIC_RULES = {"1,1": 188, "1,n": 112, "n,1": 112, "n,n": 68}
 FROZEN_RULES = {"1,1": 280, "1,n": 178, "n,1": 186, "n,n": 114}
 

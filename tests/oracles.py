@@ -399,8 +399,14 @@ def reference_pim_apply(f: AnalyticKernel, a: PimenovElement) -> PimenovElement:
 # ---------------------------------------------------------------------------
 
 
-def reference_rref_rules(elements, n, G, pivot_threshold=PIVOT_THRESHOLD):
-    """Row-reduce elements into head -> tail rules, rescanning all rows per column."""
+def reference_rref_rules(elements, n, G):
+    """Row-reduce elements into head -> tail rules by plain Gauss-Jordan,
+    one row at a time.
+
+    A pivot must exceed PIVOT_THRESHOLD times its row's largest entry on
+    input; it is set to 1 and its column to 0.  Input rows and tail entries
+    at most 1e-12 of the matrix or row maximum are dropped as rounding noise.
+    """
     elements = [e for e in elements if e.terms]
     if not elements:
         return {}
@@ -410,30 +416,28 @@ def reference_rref_rules(elements, n, G, pivot_threshold=PIVOT_THRESHOLD):
         reverse=True,
     )
     A = coefficient_matrix(elements, columns)
-    global_scale = np.abs(A).max()
-    noise = 1e-12 * global_scale
+    scales = np.abs(A).max(axis=1)
+    live = ~(scales <= 1e-12 * scales.max())
+    A, scales = A[live], scales[live]
     pivot_cols = []
     row = 0
     for col in range(len(columns)):
         if row >= len(A):
             break
-        scales = np.abs(A[row:]).max(axis=1)
-        dead = (scales > 0) & (scales <= noise)
-        if dead.any():
-            A[row:][dead] = 0
-            scales[dead] = 0
         sub = np.abs(A[row:, col])
         best = int(np.argmax(sub))
-        row_scale = scales[best]
-        if row_scale == 0 or sub[best] <= pivot_threshold * row_scale:
+        if sub[best] <= PIVOT_THRESHOLD * scales[row + best]:
             A[row:, col] = 0
             continue
         best += row
         A[[row, best]] = A[[best, row]]
+        scales[[row, best]] = scales[[best, row]]
         A[row] = A[row] / A[row, col]
-        mask = np.abs(A[:, col]) > 0
-        mask[row] = False
-        A[mask] -= np.outer(A[mask, col], A[row])
+        A[row, col] = 1
+        for i in range(len(A)):
+            if i != row and A[i, col] != 0:
+                A[i] = A[i] - A[i, col] * A[row]
+                A[i, col] = 0
         pivot_cols.append(col)
         row += 1
     rules = {}
@@ -445,7 +449,7 @@ def reference_rref_rules(elements, n, G, pivot_threshold=PIVOT_THRESHOLD):
             if k_i == col:
                 continue
             c = row_vec[k_i]
-            if abs(c) <= pivot_threshold * row_max:
+            if abs(c) <= 1e-12 * row_max:
                 continue
             tail_terms[columns[k_i]] = -c
         rules[columns[col]] = FreeElement(n, G, tail_terms)
@@ -493,18 +497,18 @@ def product_residuals(sys, quadratic, keep):
     return out
 
 
-def reference_build_reduction(rs, n, G, pivot_threshold=PIVOT_THRESHOLD):
+def reference_build_reduction(rs, n, G):
     """build_reduction over the full tag closure: one row reduction of the
     products of every quadratic rule (product_residuals), with the same
     scope check."""
     closure = iota_closure(rs, n)
-    stats = {"closure_rows": len(closure), "pivot_threshold": pivot_threshold}
-    rules = _rref_rules(closure, n, G, pivot_threshold, stats)
+    stats = {"closure_rows": len(closure), "pivot_threshold": PIVOT_THRESHOLD}
+    rules = _rref_rules(closure, n, G, stats)
     stats["quadratic_rules"] = len(rules)
     _require_head_degree(rules, 2, "quadratic")
     quadratic = [FreeElement(n, G, {h: 1.0}) - t for h, t in rules.items()]
     residuals = product_residuals(ReductionSystem(n, G, rules), quadratic, closure_keep(closure))
-    cubic = _rref_rules(residuals, n, G, pivot_threshold, stats)
+    cubic = _rref_rules(residuals, n, G, stats)
     _require_head_degree(cubic, 3, "completed")
     stats["residual_rows"] = len(residuals)
     stats["cubic_rules"] = len(cubic)

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ckq import frt
@@ -180,15 +180,18 @@ _KEYS = [(m, (a,)) for m in range(4) for a in range(3)] + [
     small=st.sampled_from([1e-11, 1e-9, 1e-7, 1e-4]),
 )
 @settings(max_examples=60, deadline=None)
+# a remainder of 9e-17 of its row's input scale gets no pivot, though it is
+# 4.5e-6 of the largest entry elimination leaves in the row
+@example(seed=0, rows=2, cols=3, rank=1, integer=False, noise_rows=1, small_rows=1, small=1e-11)
 def test_rref_matches_reference_on_low_rank_matrices(
     seed, rows, cols, rank, integer, noise_rows, small_rows, small
 ):
     # integer factors give exact ties and exact cancellations, float factors
-    # rounding noise.  Rows of 1e-14 noise must be dropped as dead rows.  A
-    # small sparse part P is added to some rows and also stacked on its own:
-    # rows far below the others in scale, and rows that shrink by orders of
-    # magnitude once the low-rank part is eliminated, so a stale or swapped
-    # row scale would misjudge their pivots.
+    # rounding noise.  Input rows of 1e-14 noise must be dropped.  A small
+    # sparse part P is added to some rows and also stacked on its own: rows
+    # far below the others in scale, and rows that shrink by orders of
+    # magnitude once the low-rank part is eliminated, whose pivots are judged
+    # against the scale each row had on input, carried through swaps.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -235,6 +238,19 @@ def test_rule_counts_on_v_disc(sig_text, r, phase):
     assert len(system) == frt.FROZEN_RULES[sig_text]
     rep = confluence_check(system)
     assert rep["confluent"] and rep["max_discrepancy"] <= 1e-9
+
+
+@pytest.mark.parametrize("r", [0.006, 0.016])
+def test_small_v_at_1_1_gives_the_frozen_rules_and_a_confluent_system(r):
+    # below the frozen range down to |v| ~ 0.005 the 1,1 relations are close
+    # to dependent, yet the elimination still finds the 280 rules, and their
+    # gaps stay rounding noise
+    sig = ParameterSignature.parse("1,1")
+    for k in range(4):
+        v = cmath.rect(r, 2 * cmath.pi * k / 4 + 0.05)
+        system = frt.reduction_system(sig, v)
+        assert len(system) == frt.FROZEN_RULES["1,1"], v
+        assert confluence_check(system)["confluent"], v
 
 
 def test_build_reduction_reports_stats():
@@ -374,7 +390,7 @@ def test_every_tail_term_lies_below_its_head(sig_text):
     # rewriting ends (ReductionSystem._nf_term recurses on tail terms) only
     # because every tail term is smaller than its head
     sig = ParameterSignature.parse(sig_text)
-    for v in V_SAMPLES + [size * v / abs(v) for size in (0.02, 0.9) for v in V_SAMPLES]:
+    for v in V_SAMPLES + [size * v / abs(v) for size in (0.02, 0.9, 2.0) for v in V_SAMPLES]:
         for system in (frt.quadratic_system(sig, v), frt.reduction_system(sig, v)):
             for head, tail in system.rules.items():
                 assert all(term_order_key(*t) < term_order_key(*head) for t in tail.terms), (v, head)
