@@ -334,6 +334,15 @@ def _compute_beside(x: _Inputs, here: list[tuple], apart: list[tuple]) -> list[d
     return fields + value
 
 
+def _collapse_message(x: _Inputs, exc: fa.InconsistentIdeal) -> str:
+    """Why a quotient collapsed.  v is blamed only outside 0.02 <= |v| <= 0.9,
+    where `frt.FROZEN_RULES` holds; inside it the relation data are at fault."""
+    where = f"the ideal collapsed at v = {x.vs}"
+    if 0.02 <= abs(x.v) <= 0.9:
+        return f"{where}, inside 0.02 <= |v| <= 0.9, so the relation data are at fault: {exc}"
+    return f"parameters outside the supported range: {where}, outside 0.02 <= |v| <= 0.9: {exc}"
+
+
 def _verify(x: _Inputs, fmt: str, suite: str = "all", check: str = "all") -> None:
     """Compute and report the checks of `suite` whose id is `check` ("all" matches any).
 
@@ -344,10 +353,13 @@ def _verify(x: _Inputs, fmt: str, suite: str = "all", check: str = "all") -> Non
     sigs = {in_suite: x.signature(in_suite) for _, in_suite, _, _ in rows}
     here = [row for row in rows if row[1] != APART]
     apart = [row for row in rows if row[1] == APART]
-    if here and apart and _cpus() > 1:
-        fields = _compute_beside(x, here, apart)
-    else:
-        fields = _compute(x, here + apart)
+    try:
+        if here and apart and _cpus() > 1:
+            fields = _compute_beside(x, here, apart)
+        else:
+            fields = _compute(x, here + apart)
+    except fa.InconsistentIdeal as exc:
+        raise click.UsageError(_collapse_message(x, exc))
     reports = [_entry(cid, sigs[in_suite], tol=tol, **out)
                for (cid, in_suite, tol, _), out in zip(here + apart, fields)]
     _report(reports, fmt)
@@ -359,12 +371,13 @@ def _verify(x: _Inputs, fmt: str, suite: str = "all", check: str = "all") -> Non
 
 
 class _CkqGroup(click.Group):
-    """Command group that reports numeric domain errors as usage errors."""
+    """Command group that reports numeric domain errors as usage errors
+    (`_verify` reports a collapsed quotient)."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (OverflowError, fa.InconsistentIdeal, fa.NonTerminatingRules) as exc:
+        except (OverflowError, fa.NonTerminatingRules) as exc:
             raise click.UsageError(f"parameters outside the supported range: {exc}", ctx)
 
 

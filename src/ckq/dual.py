@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dmat import DMatrix
-from .frt import GEN_NAMES, N, cmatrix, flip_matrix, generator_matrix, mono_eval, rmatrix3
+from .frt import GEN_NAMES, cmatrix, flip_matrix, generator_matrix, legs, mono_eval, multiplier, rmatrix3
 from .pimenov import (
     AnalyticKernel,
     ParameterSignature,
@@ -133,7 +133,7 @@ def pairing_table(sig: ParameterSignature, v: complex) -> dict[tuple[str, str], 
     half the magnitude quoted in the published table (see
     verify_pairing_table's flagged entries).
     """
-    kappa = jfactor_square(sig.jfactor(1, N))
+    kappa = jfactor_square(multiplier(sig))
     ch = cosh_j(kappa, v)
     K1 = sinhc_j(kappa, v)
     K2 = (sinhc_j(kappa, 1.5 * v) + sinhc_j(kappa, 0.5 * v)) / 2
@@ -303,24 +303,13 @@ def verify_L_relations(sig: ParameterSignature, v: complex) -> dict:
     I3 = DMatrix.identity(n, 3)
     # the 18 windows, cut once: S[eps, i, j] is f.slice(i + 1, j + 1, eps)
     S = {(eps, i, j): f.slice(i + 1, j + 1, eps) for eps in "+-" for i in range(3) for j in range(3)}
-    L1: dict[str, DMatrix] = {}
-    L2: dict[str, DMatrix] = {}
-    for eps in ("+", "-"):
-        acc1 = DMatrix.zeros(n, 27)
-        acc2 = DMatrix.zeros(n, 27)
-        for i in range(3):
-            for j in range(3):
-                E = np.zeros((3, 3))
-                E[i, j] = 1.0
-                acc1 = acc1 + DMatrix.from_scalar(n, np.kron(E, np.eye(3))).kron(S[eps, i, j])
-                acc2 = acc2 + DMatrix.from_scalar(n, np.kron(np.eye(3), E)).kron(S[eps, i, j])
-        L1[eps] = acc1
-        L2[eps] = acc2
-    R27 = f.rp.kron(I3)
+    # the 12 leg of R+ and, per sign, L1 and L2: the 13 and 23 legs of R+-
+    L = {"+": legs(f.rp), "-": legs(f.rm)}
+    R12 = L["+"][0]
     res = {}
     for e1, e2 in (("+", "+"), ("-", "-"), ("+", "-")):
-        r = (R27 @ L1[e1] @ L2[e2] - L2[e2] @ L1[e1] @ R27).max_abs()
-        res[f"exchange{e1}{e2}"] = r
+        L1, L2 = L[e1][1], L[e2][2]
+        res[f"exchange{e1}{e2}"] = (R12 @ L1 @ L2 - L2 @ L1 @ R12).max_abs()
 
     C = cmatrix(sig, v)
     Ct = C.mat.T
@@ -350,7 +339,7 @@ def verify_dual_commutators(sig: ParameterSignature, v: complex) -> dict:
     n = sig.n_slots
     atoms = atom_matrices(f)
     a, b, bt = atoms["l11"], atoms["l12"], atoms["lt12"]
-    kappa = jfactor_square(sig.jfactor(1, N))
+    kappa = jfactor_square(multiplier(sig))
     ch = cosh_j(kappa, v)
     K1 = sinhc_j(kappa, v)
     half_s = 2j * kappa * sinhc_j(kappa, v / 2)

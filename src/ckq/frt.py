@@ -7,7 +7,8 @@ deformation parameter v is numerically sampled; nilpotent signature slots
 are carried exactly, so contracted cases are structurally exact.
 
 The generator matrix is assembled in one place, `generator_matrix`, over
-any values of the nine generators.  The counit and the coproduct are
+any values of the nine generators; the relation builders take it as given.
+R and C read the multiplier J of v from one function, `multiplier`.  The counit and the coproduct are
 algebra maps given by their generator images and extended by
 `free_algebra.algebra_map`; the contraction's rescaling is diagonal and is
 applied term by term.  Relation sets are tuples.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -140,34 +141,30 @@ def _require_quantum(sig: ParameterSignature) -> None:
 
 
 @dataclass
-class RMatrix:
+class DeformedMatrix:
+    """A matrix over D of the deformation at (sig, v): R or C."""
+
     mat: DMatrix
     sig: ParameterSignature
     v: complex
 
 
-@dataclass
-class CMatrix:
-    mat: DMatrix
-    sig: ParameterSignature
-    v: complex
+def multiplier(sig: ParameterSignature) -> PimenovElement:
+    """J = j1*j2, the multiplier of v: the deformation enters as Jv."""
+    return sig.jfactor(1, N)
 
 
-def _exp_kernels(sig: ParameterSignature, v: complex):
-    """e^{Jv}, e^{-Jv}, e^{-Jv/2}, sinh Jv over D with J the full j-factor."""
-    J = sig.jfactor(1, N)
-    e_p = pim_apply(KERNELS["exp"], J * v)
-    e_m = pim_apply(KERNELS["exp"], J * (-v))
-    e_m2 = pim_apply(KERNELS["exp"], J * (-v / 2))
-    sh = (e_p - e_m) * 0.5
-    return J, e_p, e_m, e_m2, sh
+def _exp_j(sig: ParameterSignature, x: complex) -> PimenovElement:
+    """e^{Jx} over D, with J the multiplier."""
+    return pim_apply(KERNELS["exp"], multiplier(sig) * x)
 
 
-def rmatrix3(sig: ParameterSignature, v: complex) -> RMatrix:
+def rmatrix3(sig: ParameterSignature, v: complex) -> DeformedMatrix:
     """Lower-triangular 9x9 deformation matrix on C^3 (x) C^3 over D."""
     _require_quantum(sig)
     n = sig.n_slots
-    J, e_p, e_m, e_m2, sh = _exp_kernels(sig, v)
+    e_p, e_m, e_m2 = _exp_j(sig, v), _exp_j(sig, -v), _exp_j(sig, -v / 2)
+    sh = (e_p - e_m) * 0.5
     one = PimenovElement.unit(n)
     zero = PimenovElement.scalar(n, 0.0)
     E = [[zero for _ in range(9)] for _ in range(9)]
@@ -185,7 +182,7 @@ def rmatrix3(sig: ParameterSignature, v: complex) -> RMatrix:
     E[7][5] = sh * 2.0
     E[7][7] = one
     E[8][8] = e_p
-    return RMatrix(DMatrix.from_entries(n, E), sig, v)
+    return DeformedMatrix(DMatrix.from_entries(n, E), sig, v)
 
 
 def rtilde3() -> np.ndarray:
@@ -198,29 +195,23 @@ def rtilde3() -> np.ndarray:
     return Rt
 
 
-def contracted_structure_residual(R: RMatrix) -> float:
+def contracted_structure_residual(R: DeformedMatrix) -> float:
     """Max-norm of R - (I + Jv*Rt); exact zero when J is nilpotent."""
     n = R.sig.n_slots
-    J = R.sig.jfactor(1, N)
-    model = DMatrix.identity(n, 9) + DMatrix.from_scalar(n, rtilde3()) * (J * R.v)
+    model = DMatrix.identity(n, 9) + DMatrix.from_scalar(n, rtilde3()) * (multiplier(R.sig) * R.v)
     return (R.mat - model).max_abs()
 
 
-def cmatrix(sig: ParameterSignature, v: complex) -> CMatrix:
+def cmatrix(sig: ParameterSignature, v: complex) -> DeformedMatrix:
     """Deformed metric C = C0 * diag(e^{Jv/2}, 1, e^{-Jv/2})."""
     _require_quantum(sig)
     n = sig.n_slots
-    J = sig.jfactor(1, N)
-    diag = [
-        pim_apply(KERNELS["exp"], J * (v / 2)),
-        PimenovElement.unit(n),
-        pim_apply(KERNELS["exp"], J * (-v / 2)),
-    ]
+    diag = [_exp_j(sig, v / 2), PimenovElement.unit(n), _exp_j(sig, -v / 2)]
     zero = PimenovElement.scalar(n, 0.0)
     E = [[zero] * 3 for _ in range(3)]
     for k in range(3):
         E[2 - k][k] = diag[k]
-    return CMatrix(DMatrix.from_entries(n, E), sig, v)
+    return DeformedMatrix(DMatrix.from_entries(n, E), sig, v)
 
 
 def flip_matrix() -> np.ndarray:
@@ -232,14 +223,17 @@ def flip_matrix() -> np.ndarray:
     return P
 
 
-def qybe_check(R: RMatrix) -> float:
+def legs(R: DMatrix) -> tuple[DMatrix, DMatrix, DMatrix]:
+    """R12, R13, R23: the 9x9 matrix R acting on two factors of C^3 (x) C^3 (x) C^3."""
+    I3 = DMatrix.identity(R.n, 3)
+    R12 = R.kron(I3)
+    P23 = DMatrix.from_scalar(R.n, np.kron(np.eye(3), flip_matrix()))
+    return R12, P23 @ R12 @ P23, I3.kron(R)
+
+
+def qybe_check(R: DeformedMatrix) -> float:
     """Residual of R12 R13 R23 = R23 R13 R12 on the 27-dimensional space."""
-    n = R.sig.n_slots
-    I3 = DMatrix.identity(n, 3)
-    R12 = R.mat.kron(I3)
-    R23 = I3.kron(R.mat)
-    P23 = DMatrix.from_scalar(n, np.kron(np.eye(3), flip_matrix()))
-    R13 = P23 @ R12 @ P23
+    R12, R13, R23 = legs(R.mat)
     return (R12 @ R13 @ R23 - R23 @ R13 @ R12).max_abs()
 
 
@@ -266,14 +260,10 @@ def generator_matrix(at: ParameterSignature, value: Callable[[int], Any]) -> lis
     return T
 
 
-def t_matrix(sig: ParameterSignature, attachments: bool = True) -> list[list[FreeElement]]:
-    """3x3 matrix of generator combinations over the 9-letter alphabet.
-
-    With attachments=False the coefficient monomials are evaluated as if
-    every slot were 1 (used by the contraction-transform cross-check).
-    """
-    n = sig.n_slots
-    at = sig if attachments else ParameterSignature.parse(",".join(["1"] * n))
+def t_matrix(at: ParameterSignature) -> list[list[FreeElement]]:
+    """The generator matrix over the 9-letter alphabet, its coefficient
+    monomials evaluated at `at`."""
+    n = at.n_slots
     return generator_matrix(at, lambda g: FreeElement.generator(n, NGEN, g))
 
 
@@ -296,11 +286,10 @@ def _pim_entries(M: DMatrix) -> list[list[PimenovElement]]:
     return [[M.entry(i, j) for j in range(M.size)] for i in range(M.size)]
 
 
-def rtt_relations(R: RMatrix, attachments: bool = True) -> tuple[FreeElement, ...]:
+def rtt_relations(R: DeformedMatrix, T: Sequence[Sequence[FreeElement]]) -> tuple[FreeElement, ...]:
     """Entries of R T1 T2 - T2 T1 R: the 81 exchange relations.  Each sums its
     products in one dict and drops a key the moment its sum is exactly 0."""
-    sig, n = R.sig, R.sig.n_slots
-    T = t_matrix(sig, attachments)
+    n = R.sig.n_slots
     # TT1[3i + k][3j + l] = T[i][j] T[k][l], TT2 the product in the other order
     pairs = list(product(range(3), repeat=2))
     TT1 = [[T[i][j] * T[k][l] for j, l in pairs] for i, k in pairs]
@@ -324,10 +313,9 @@ def rtt_relations(R: RMatrix, attachments: bool = True) -> tuple[FreeElement, ..
     return tuple(relations)
 
 
-def orthogonality_relations(C: CMatrix, attachments: bool = True) -> tuple[FreeElement, ...]:
+def orthogonality_relations(C: DeformedMatrix, T: Sequence[Sequence[FreeElement]]) -> tuple[FreeElement, ...]:
     """Entries of T C T^t - C and T^t C T - C (deformed orthogonality)."""
-    sig, n = C.sig, C.sig.n_slots
-    T = t_matrix(sig, attachments)
+    n = C.sig.n_slots
     Tt = [[T[j][i] for j in range(3)] for i in range(3)]
     Cp = _pim_entries(C.mat)
     relations = []
@@ -341,16 +329,16 @@ def orthogonality_relations(C: CMatrix, attachments: bool = True) -> tuple[FreeE
 
 
 @lru_cache(maxsize=32)
-def exchange_relations(sig: ParameterSignature, v: complex, attachments: bool) -> tuple[FreeElement, ...]:
-    """The RTT exchange relations, built once per (sig, v, attachments): the
-    first part of `full_relations` and the input of `rtt_rank`."""
-    return rtt_relations(rmatrix3(sig, v), attachments)
+def exchange_relations(sig: ParameterSignature, v: complex) -> tuple[FreeElement, ...]:
+    """The RTT exchange relations, built once per (sig, v): the first part of
+    `full_relations` and the input of `rtt_rank`."""
+    return rtt_relations(rmatrix3(sig, v), t_matrix(sig))
 
 
 @lru_cache(maxsize=32)
-def full_relations(sig: ParameterSignature, v: complex, attachments: bool = True) -> tuple[FreeElement, ...]:
-    """Exchange plus orthogonality relations, built once per (sig, v, attachments)."""
-    return exchange_relations(sig, v, attachments) + orthogonality_relations(cmatrix(sig, v), attachments)
+def full_relations(sig: ParameterSignature, v: complex) -> tuple[FreeElement, ...]:
+    """Exchange plus orthogonality relations, built once per (sig, v)."""
+    return exchange_relations(sig, v) + orthogonality_relations(cmatrix(sig, v), t_matrix(sig))
 
 
 @lru_cache(maxsize=32)
@@ -368,7 +356,7 @@ def reduction_system(sig: ParameterSignature, v: complex) -> ReductionSystem:
 
 def rtt_rank(sig: ParameterSignature, v: complex) -> int:
     """Independent count of the degree-2 exchange relations (rank oracle)."""
-    return relation_rank(exchange_relations(sig, v, True))
+    return relation_rank(exchange_relations(sig, v))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +369,27 @@ def counit(x: FreeElement) -> PimenovElement:
     return algebra_map(x, COUNIT, 1.0)
 
 
+def _counit_leg(x: TensorElement, side: int) -> FreeElement:
+    """(eps (x) id)x for side 0, (id (x) eps)x for side 1."""
+    out = FreeElement.zero(x.n, NGEN)
+    for (mask, *words), c in x.terms.items():
+        eps = counit(FreeElement(x.n, NGEN, {(mask, words[side]): c}))
+        out = out + FreeElement(x.n, NGEN, {(0, words[1 - side]): 1.0}) * eps
+    return out
+
+
 def counit_residual(sig: ParameterSignature, v: complex) -> float:
-    return worst_residual(counit(r).max_abs() for r in full_relations(sig, v))
+    """The largest coefficient that the counit leaves: eps of every relation,
+    eps(T) - I, and (eps (x) id)Delta(g) - g and (id (x) eps)Delta(g) - g for
+    every generator g."""
+    n = sig.n_slots
+    T = t_matrix(sig)
+    return worst_residual(chain(
+        (counit(r).max_abs() for r in full_relations(sig, v)),
+        ((counit(T[a][b]) - float(a == b)).max_abs() for a in range(3) for b in range(3)),
+        ((_counit_leg(delta, side) - FreeElement.generator(n, NGEN, g)).max_abs()
+         for g, delta in coproduct_table(sig).items() for side in (0, 1)),
+    ))
 
 
 def coproduct_generator(sig: ParameterSignature, g: int) -> TensorElement:
@@ -555,9 +562,9 @@ def verify_contraction_transform(sig: ParameterSignature, v: complex) -> dict:
     """
     n = sig.n_slots
     direct = full_relations(sig, v)
-    substituted = [
-        r for r in substitute_generators(sig, full_relations(sig, v, attachments=False)) if not r.is_zero()
-    ]
+    T = t_matrix(ParameterSignature.parse(",".join(["1"] * n)))
+    undeformed = rtt_relations(rmatrix3(sig, v), T) + orthogonality_relations(cmatrix(sig, v), T)
+    substituted = [r for r in substitute_generators(sig, undeformed) if not r.is_zero()]
     pairs = list(zip_longest(direct, substituted, fillvalue=FreeElement.zero(n, NGEN)))
     residual = worst_residual((a - b).max_abs() for a, b in pairs)
     return {

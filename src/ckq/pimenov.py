@@ -601,7 +601,10 @@ class _Parser:
 
 def parse_element(text: str, n: int) -> PimenovElement:
     """Parse `1 + 2*i1 - 0.5*i1*i2` into an element of D_n."""
-    return _Parser(text, n).parse()
+    try:
+        return _Parser(text, n).parse()
+    except RecursionError:
+        raise ValueError("the expression nests too deeply to parse") from None
 
 
 def format_element(a: PimenovElement) -> str:

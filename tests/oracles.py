@@ -62,7 +62,7 @@ from ckq.free_algebra import (
     unused_tags,
 )
 from ckq.dmat import DMatrix
-from ckq.pimenov import AnalyticKernel, PimenovElement, _support, worst_residual
+from ckq.pimenov import AnalyticKernel, ParameterSignature, PimenovElement, _support, worst_residual
 
 # ---------------------------------------------------------------------------
 # D_n product, inverse and slice oracles
@@ -586,10 +586,9 @@ def reference_confluence_check(system):
     }
 
 
-def reference_rtt_relations(R, attachments=True):
+def reference_rtt_relations(R, T):
     """R T1 T2 - T2 T1 R entry by entry, one whole FreeElement per product."""
     n = R.sig.n_slots
-    T = frt.t_matrix(R.sig, attachments)
     TT1 = [[None] * 9 for _ in range(9)]
     TT2 = [[None] * 9 for _ in range(9)]
     for i, k, j, l in product(range(3), repeat=4):
@@ -609,6 +608,14 @@ def reference_rtt_relations(R, attachments=True):
             if not acc.is_zero():
                 relations.append(acc)
     return tuple(relations)
+
+
+def undeformed_relations(sig, v):
+    """The relations of R and C at (sig, v) over the generator matrix whose
+    coefficient monomials are evaluated with every slot 1: the input of the
+    contraction's rescaling."""
+    T = frt.t_matrix(ParameterSignature.parse(",".join(["1"] * sig.n_slots)))
+    return frt.rtt_relations(frt.rmatrix3(sig, v), T) + frt.orthogonality_relations(frt.cmatrix(sig, v), T)
 
 
 def reference_substitute_generators(sig, relations):
@@ -637,7 +644,7 @@ def reference_contraction_transform(sig, v):
     """
     n = sig.n_slots
     direct_rel = frt.full_relations(sig, v)
-    substituted_rel = frt.substitute_generators(sig, frt.full_relations(sig, v, attachments=False))
+    substituted_rel = frt.substitute_generators(sig, undeformed_relations(sig, v))
     unused = unused_tags([*direct_rel, *substituted_rel], n)
     copies = 1 << unused.bit_count()
     direct = iota_closure(direct_rel, n, unused)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from ckq import dual, free_algebra, frt
 from ckq.cli import APART, CHECKS, SUITES, cli
-from ckq.pimenov import ParameterSignature
+from ckq.pimenov import ParameterSignature, PimenovElement
 
 
 @pytest.fixture
@@ -46,6 +46,19 @@ def test_pim_eval_truncated_expression_is_usage_error(runner, expr):
     res = runner.invoke(cli, ["pim", "eval", "--", expr])
     assert res.exit_code == 2
     assert "unexpected end of expression" in res.output
+
+
+def test_pim_eval_deep_nesting_is_usage_error(runner):
+    # the recursive-descent parser runs out of stack: a usage error, not a traceback
+    res = runner.invoke(cli, ["pim", "eval", "(" * 1000 + "1" + ")" * 1000])
+    assert res.exit_code == 2, res.output
+    assert "nests too deeply" in res.output
+
+
+def test_pim_eval_parses_200_nested_parentheses(runner):
+    res = runner.invoke(cli, ["pim", "eval", "(" * 200 + "2*i1" + ")" * 200])
+    assert res.exit_code == 0, res.output
+    assert res.output == "2.0*i1\n"
 
 
 @pytest.mark.parametrize("expr, token", [("2**3", "*"), ("1+)", ")"), ("(/1)", "/"), ("1+*2", "*")])
@@ -173,6 +186,28 @@ def test_inconsistent_ideal_is_usage_error(runner, monkeypatch):
     res = runner.invoke(cli, ["frt", "verify", "confluence", "--j", "n,n"])
     assert res.exit_code == 2, res.output
     assert "bare constant" in res.output
+    # v = 0.37 lies where the frozen rules hold: the relation data are blamed
+    assert "the ideal collapsed at v = (0.37+0j)" in res.output
+    assert "relation data are at fault" in res.output
+    assert "parameters outside the supported range" not in res.output
+    # v is blamed only outside 0.02 <= |v| <= 0.9
+    for v_text in ("0.001", "1.5"):
+        res = runner.invoke(cli, ["frt", "verify", "confluence", "--j", "n,n", "--v", v_text])
+        assert res.exit_code == 2, res.output
+        assert "parameters outside the supported range: the ideal collapsed" in res.output
+        assert "bare constant" in res.output and "at fault" not in res.output
+
+
+def test_collapsed_quotient_names_the_relation_data(runner, monkeypatch, fresh_frt_caches):
+    # with the multiplier of v set to 1 the n,n ideal holds an element of
+    # degree 1; the library's message names the stage that met it
+    monkeypatch.setattr(frt, "multiplier", lambda sig: PimenovElement.unit(sig.n_slots))
+    res = runner.invoke(cli, ["frt", "verify", "confluence", "--j", "n,n"])
+    assert res.exit_code == 2, res.output
+    assert "the ideal collapsed at v = (0.37+0j)" in res.output
+    assert "relation data are at fault" in res.output
+    assert "completion" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_nearly_dependent_relations_fail_confluence_visibly(runner):

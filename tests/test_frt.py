@@ -13,6 +13,7 @@ from ckq import frt
 from ckq.free_algebra import (
     PIVOT_THRESHOLD,
     FreeElement,
+    InconsistentIdeal,
     build_reduction,
     coefficient_matrix,
     confluence_check,
@@ -27,6 +28,7 @@ from oracles import (
     reference_coproduct_compatibility,
     reference_rtt_relations,
     reference_substitute_generators,
+    undeformed_relations,
 )
 
 QUANTUM_SIGS = ["1,1", "1,n", "n,1", "n,n"]
@@ -125,13 +127,15 @@ def test_confluence_all_words(sig_text):
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
-@pytest.mark.parametrize("attachments", [True, False])
-def test_rtt_relations_match_whole_element_sums(sig_text, attachments):
-    # the same keys in the same order and the same bits in every coefficient
+@pytest.mark.parametrize("deformed", [True, False])
+def test_rtt_relations_match_whole_element_sums(sig_text, deformed):
+    # the same keys in the same order and the same bits in every coefficient,
+    # over the generator matrix at the signature and at every slot 1
+    T = frt.t_matrix(sig_of(sig_text if deformed else "1,1"))
     for v in V_SAMPLES + [1.2, -1.5]:
         R = frt.rmatrix3(sig_of(sig_text), v)
-        got = frt.rtt_relations(R, attachments)
-        want = reference_rtt_relations(R, attachments)
+        got = frt.rtt_relations(R, T)
+        want = reference_rtt_relations(R, T)
         assert [[(k, repr(c)) for k, c in r.terms.items()] for r in got] == [
             [(k, repr(c)) for k, c in r.terms.items()] for r in want
         ]
@@ -159,14 +163,14 @@ def test_corrupted_relations_change_rank():
     # mutating one exchange-matrix entry is detectable as a rank jump
     R = frt.rmatrix3(sig_of("1,1"), 0.37)
     R.mat.blocks[0][3, 1] += 0.2
-    rank = relation_rank(frt.rtt_relations(R))
+    rank = relation_rank(frt.rtt_relations(R, frt.t_matrix(R.sig)))
     assert rank != FROZEN_QUOTIENT_RANK["1,1"]
 
 
 def test_orthogonality_relations_annihilated_by_counit():
     sig = sig_of("1,1")
     C = frt.cmatrix(sig, 0.37)
-    for rel in frt.orthogonality_relations(C):
+    for rel in frt.orthogonality_relations(C, frt.t_matrix(sig)):
         assert frt.counit(rel).max_abs() <= 1e-12
 
 
@@ -176,6 +180,54 @@ def test_orthogonality_relations_annihilated_by_counit():
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
 def test_counit_annihilates_relations(sig_text):
     assert frt.counit_residual(sig_of(sig_text), 0.37) == 0.0
+
+
+def relation_counit_residual(sig, v):
+    """What the counit check saw before it checked the axiom: eps of every relation."""
+    return worst_residual(frt.counit(r).max_abs() for r in frt.full_relations(sig, v))
+
+
+@pytest.mark.parametrize("sig_text", CONTRACTED_SIGS)
+def test_counit_axiom_catches_a_wrong_counit_image(sig_text, monkeypatch):
+    # eps(tt11) = 1 kills every contracted relation, but eps(T11) = 1 - J is not 1
+    monkeypatch.setitem(frt.COUNIT, frt.GEN_INDEX["tt11"], 1.0)
+    sig = sig_of(sig_text)
+    assert relation_counit_residual(sig, 0.37) <= 1e-12
+    assert frt.counit_residual(sig, 0.37) == 1.0
+
+
+@pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
+def test_counit_axiom_catches_a_negated_generator_matrix_entry(sig_text, monkeypatch, fresh_frt_caches):
+    # with T22 = -t22 the counit is the character diag(1, -1, 1) of the
+    # relations, not the identity
+    c, d = frt.CD_TABLE[(2, 2)]
+    monkeypatch.setitem(frt.CD_TABLE, (2, 2), ((-c[0], c[1], c[2]), d))
+    sig = sig_of(sig_text)
+    assert relation_counit_residual(sig, 0.37) == 0.0
+    assert frt.counit_residual(sig, 0.37) == 2.0
+
+
+MULTIPLIERS = {
+    "1": lambda sig: PimenovElement.unit(sig.n_slots),
+    "j1": lambda sig: sig.slot_value(1),
+    "j2": lambda sig: sig.slot_value(2),
+    "j1*j2": lambda sig: sig.jfactor(1, 3),
+}
+
+
+@pytest.mark.parametrize("sig_text", CONTRACTED_SIGS)
+@pytest.mark.parametrize("name", MULTIPLIERS)
+def test_the_multiplier_is_necessary(sig_text, name, monkeypatch, fresh_frt_caches):
+    # a multiplier of v that leaves out a nilpotent slot collapses the quotient;
+    # one equal to j1*j2 gives the frozen rules
+    sig = sig_of(sig_text)
+    J = MULTIPLIERS[name](sig)
+    monkeypatch.setattr(frt, "multiplier", MULTIPLIERS[name])
+    if (J - sig.jfactor(1, 3)).is_zero():
+        assert len(frt.reduction_system(sig, 0.37)) == frt.FROZEN_RULES[sig_text]
+    else:
+        with pytest.raises(InconsistentIdeal):
+            frt.reduction_system(sig, 0.37)
 
 
 @pytest.mark.parametrize("sig_text", QUANTUM_SIGS)
@@ -324,7 +376,7 @@ def test_contraction_ranks_equal_full_closure_ranks(sig_text):
     sig, v = sig_of(sig_text), 0.37
     direct = iota_closure(frt.full_relations(sig, v), sig.n_slots)
     substituted = iota_closure(
-        frt.substitute_generators(sig, frt.full_relations(sig, v, attachments=False)),
+        frt.substitute_generators(sig, undeformed_relations(sig, v)),
         sig.n_slots,
     )
     columns = sorted({k for r in direct + substituted for k in r.terms})
@@ -349,7 +401,7 @@ def test_term_by_term_substitution_equals_the_algebra_map(sig_text):
         sig.n_slots, frt.NGEN, {(0, (g,)): complex(-1.0, -0.0) for g in range(frt.NGEN)}
     )
     for v in V_SAMPLES:
-        relations = [*frt.full_relations(sig, v, attachments=False), signed_zeros]
+        relations = [*undeformed_relations(sig, v), signed_zeros]
         got = frt.substitute_generators(sig, relations)
         want = reference_substitute_generators(sig, relations)
         assert [[(k, repr(c)) for k, c in r.terms.items()] for r in got] == [
@@ -384,7 +436,7 @@ def test_contraction_agrees_with_mutual_reduction(wrong_exponent, monkeypatch):
         monkeypatch.setitem(frt._SUBST_EXPONENTS, 1, (1, 0))
     sig = sig_of("n,n")
     direct = list(frt.full_relations(sig, 0.37))
-    substituted = frt.substitute_generators(sig, frt.full_relations(sig, 0.37, attachments=False))
+    substituted = frt.substitute_generators(sig, undeformed_relations(sig, 0.37))
     sys_direct = build_reduction(quadratic_reduction(direct, sig.n_slots, frt.NGEN))
     sys_substituted = build_reduction(quadratic_reduction(substituted, sig.n_slots, frt.NGEN))
     mutual = worst_residual(
@@ -402,14 +454,14 @@ def test_full_relations_built_once_and_immutable():
     sig = sig_of("1,n")
     rs = frt.full_relations(sig, 0.37)
     assert frt.full_relations(sig, 0.37) is rs
-    assert frt.full_relations(sig, 0.37, attachments=False) is not rs
+    assert undeformed_relations(sig, 0.37) is not rs
     assert isinstance(rs, tuple)
 
 
 def test_rank_reuses_the_exchange_relations(monkeypatch):
     sig = sig_of("n,1")
     rs = frt.full_relations(sig, 0.41)
-    exchange = frt.exchange_relations(sig, 0.41, True)
+    exchange = frt.exchange_relations(sig, 0.41)
     assert rs[: len(exchange)] == exchange
     monkeypatch.setattr(frt, "rtt_relations", lambda *args: pytest.fail("exchange relations rebuilt"))
     assert frt.rtt_rank(sig, 0.41) == FROZEN_QUOTIENT_RANK["n,1"]
